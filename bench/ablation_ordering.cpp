@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
       on.timeout = cfg.timeout;
       on.storeLimit = 1;
       core::SearchOptions off = on;
-      off.staticOrdering = false;
+      off.ordering = core::Ordering::Declared;
 
       const auto a = core::ecfSearch(problem, on);
       const auto b = core::ecfSearch(problem, off);

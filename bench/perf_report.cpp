@@ -24,11 +24,12 @@
 //                  bound-based rather than speedup ratios, so they hold on
 //                  noisy shared CI runners where the timing gates do not.
 //   --sat-requests <n>  saturation scenario request count (default 1200)
-//   --shard-check  enforce only the large-host shard gates (implied by
+//   --shard-check  enforce only the large-host shard gate (implied by
 //                  --check): sharded filter build >= 2x the flat build on
 //                  the 100k-node host. The skip margin is ~shardCount x, so
-//                  2x holds on noisy runners; solution-count equality across
-//                  shard configs is checked unconditionally.
+//                  2x holds on noisy runners; byte-equality of every shard
+//                  config's matrix with the flat one is checked
+//                  unconditionally.
 //
 // A dynamic_order scenario times SearchOptions::ordering Static vs Dynamic
 // on a backtrack-heavy planted clique (random per-edge delays on the host
@@ -43,18 +44,22 @@
 // path, which patches in place when the old plan is exclusively owned —
 // against the historical {deep host copy + from-scratch build} per update.
 //
-// A large-host scenario exercises the sharded host model at ROADMAP scale:
-// a ~100k-node pod-structured hugeHost with a pod-affinity query, filter
-// build + first match timed at shards in {1, 8, 64, hw}, with peak process RSS
-// and the filter's per-structure memory breakdown recorded per config. The
-// pod constraint pins each query node's stage-0 viability to one shard, so
-// the bucketed stage-1 sweep skips every shard pair the query cannot touch
-// — the single-core speedup the --shard-check gate enforces.
+// A large-host scenario exercises the sharded filter build at ROADMAP scale:
+// a ~100k-node pod-structured hugeHost with a pod-affinity query, the
+// filter build timed over explicit shard maps of {1, 8, 64} shards and over
+// ShardMap::forHost (the partition every request gets), with peak process
+// RSS and the filter's per-structure memory breakdown recorded per config.
+// The pod constraint pins each query node's stage-0 viability to one shard,
+// so the bucketed stage-1 sweep skips every shard pair the query cannot
+// touch — the single-core speedup the --shard-check gate enforces. First
+// match and the capped enumeration run once, through the default path.
 //
 // The binary also cross-checks that all representations — and the patched
-// vs rebuilt plans, both orderings, and every shard count — enumerate the
-// same number of solutions and exits non-zero otherwise: the perf baseline
-// must never be produced by a wrong answer.
+// vs rebuilt plans, both orderings, and the large host's default plan over
+// its sharded and its flat matrix — enumerate the same number of
+// solutions, and that every shard config builds a matrix byte-equal to the
+// flat one, and exits non-zero otherwise: the perf baseline must never be
+// produced by a wrong answer.
 
 #include <sys/resource.h>
 
@@ -64,6 +69,7 @@
 #include <future>
 #include <iostream>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -369,11 +375,10 @@ MutationReport runMutationScenario(std::uint64_t seed, std::size_t reps,
 // --- sharded large-host scaling scenario --------------------------------------
 
 struct ShardConfigReport {
-  std::size_t requested = 1;  // SearchOptions::shards as passed
+  std::string label;          // requested shard count, or "forHost"
   std::size_t resolved = 1;   // ShardMap's clamped count
   double filterBuildMs = 0.0;
-  double firstMatchMs = 0.0;  // pure search (build excluded)
-  std::uint64_t enumerated = 0;
+  bool identicalToFlat = false;  // cells + viability rows byte-equal to flat
   core::FilterMatrix::MemoryBreakdown memory;
   double peakRssMb = 0.0;  // process ru_maxrss after this config (monotone)
 };
@@ -384,7 +389,10 @@ struct LargeHostReport {
   std::size_t queryNodes = 0;
   std::size_t queryEdges = 0;
   std::string autoOrdering;
-  std::vector<ShardConfigReport> configs;  // front() is the flat shards=1 run
+  double firstMatchMs = 0.0;  // pure search (build excluded), default path
+  std::uint64_t enumerated = 0;      // through the default (forHost) plan
+  std::uint64_t enumeratedFlat = 0;  // the same plan over the flat matrix
+  std::vector<ShardConfigReport> configs;  // front() is the flat one-shard run
 
   /// Flat build over the fastest genuinely-sharded build — the scaling-path
   /// figure of merit. Single-core, so any win is pure bucket skipping.
@@ -397,13 +405,44 @@ struct LargeHostReport {
     }
     return best > 0.0 ? configs.front().filterBuildMs / best : 0.0;
   }
-  [[nodiscard]] bool countsAgree() const {
+  [[nodiscard]] bool matricesAgree() const {
     for (const ShardConfigReport& c : configs) {
-      if (c.enumerated != configs.front().enumerated) return false;
+      if (!c.identicalToFlat) return false;
     }
     return true;
   }
 };
+
+/// Byte-equality of everything a search reads from a matrix: every cell's
+/// CSR lists and bit rows, the viable lists, and the viability and stage-0
+/// rows. Matrices equal here yield identical solution streams.
+bool sameMatrix(const core::FilterMatrix& a, const core::FilterMatrix& b,
+                std::size_t queryNodes) {
+  const auto same = [](auto x, auto y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end());
+  };
+  if (a.hostNodes() != b.hostNodes() || a.totalEntries() != b.totalEntries()) {
+    return false;
+  }
+  for (graph::NodeId v = 0; v < queryNodes; ++v) {
+    if (!same(a.viable(v), b.viable(v)) || !same(a.viableBits(v), b.viableBits(v)) ||
+        !same(a.nodeOkBits(v), b.nodeOkBits(v)) ||
+        a.slots(v).size() != b.slots(v).size()) {
+      return false;
+    }
+    for (std::uint32_t s = 0; s < a.slots(v).size(); ++s) {
+      if (a.hasCandidateBits(v, s) != b.hasCandidateBits(v, s)) return false;
+      for (graph::NodeId r = 0; r < a.hostNodes(); ++r) {
+        if (!same(a.candidates(v, s, r), b.candidates(v, s, r))) return false;
+        if (a.hasCandidateBits(v, s) &&
+            !same(a.candidateBits(v, s, r), b.candidateBits(v, s, r))) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
 
 double processPeakRssMb() {
   rusage ru{};
@@ -465,47 +504,66 @@ LargeHostReport runLargeHostScenario(std::uint64_t seed, std::size_t reps,
         core::orderingName(core::chooseOrdering(*plan, core::Ordering::Auto));
   }
 
-  std::vector<std::size_t> shardCounts{1, 8, core::ShardMap::kMaxShards,
-                                       std::max<std::size_t>(
-                                           1, std::thread::hardware_concurrency())};
-  std::sort(shardCounts.begin(), shardCounts.end());
-  shardCounts.erase(std::unique(shardCounts.begin(), shardCounts.end()),
-                    shardCounts.end());
-
-  for (const std::size_t shards : shardCounts) {
+  struct Config {
+    std::string label;
+    core::ShardMap map;
+  };
+  const std::size_t nr = host.nodeCount();
+  const std::vector<Config> configs{
+      {"1", core::ShardMap(nr, 1)},
+      {"8", core::ShardMap(nr, 8)},
+      {"64", core::ShardMap(nr, core::ShardMap::kMaxShards)},
+      {"forHost", core::ShardMap::forHost(nr)}};
+  std::optional<core::FilterMatrix> flat;
+  for (const Config& config : configs) {
     ShardConfigReport cfg;
-    cfg.requested = shards;
-    std::vector<double> build, first;
+    cfg.label = config.label;
+    cfg.resolved = config.map.shardCount();
+    std::vector<double> build;
     for (std::size_t rep = 0; rep < reps; ++rep) {
-      core::SearchOptions base;
-      base.shards = shards;
-      {
-        core::SearchStats stats;
-        const auto fm = core::FilterMatrix::build(problem, base, stats);
-        build.push_back(stats.filterBuildMs);
-        cfg.resolved = fm.shardMap().shardCount();
-        cfg.memory = fm.memoryBreakdown();
+      core::SearchStats stats;
+      auto fm = core::FilterMatrix::build(problem, core::SearchOptions{}, config.map,
+                                          stats);
+      build.push_back(stats.filterBuildMs);
+      if (rep + 1 < reps) continue;
+      cfg.memory = fm.memoryBreakdown();
+      if (flat) {
+        cfg.identicalToFlat = sameMatrix(*flat, fm, query.nodeCount());
+      } else {
+        cfg.identicalToFlat = true;  // the first config is the reference
+        flat = std::move(fm);
       }
-      {
-        core::SearchOptions o = base;
-        o.maxSolutions = 1;
-        o.storeLimit = 1;
-        const auto r = core::ecfSearch(problem, o);
-        first.push_back(r.stats.searchMs - r.stats.filterBuildMs);
-      }
-    }
-    {
-      core::SearchOptions o;
-      o.shards = shards;
-      o.maxSolutions = enumerateCap;
-      o.storeLimit = 1;
-      cfg.enumerated = core::ecfSearch(problem, o).solutionCount;
     }
     cfg.filterBuildMs = util::median(build);
-    cfg.firstMatchMs = util::median(first);
     cfg.peakRssMb = processPeakRssMb();
     report.configs.push_back(cfg);
   }
+
+  std::vector<double> first;
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    core::SearchOptions o;
+    o.maxSolutions = 1;
+    o.storeLimit = 1;
+    const auto r = core::ecfSearch(problem, o);
+    first.push_back(r.stats.searchMs - r.stats.filterBuildMs);
+  }
+  report.firstMatchMs = util::median(first);
+
+  // Enumerate through the default plan, then through a copy of it whose
+  // matrix is the flat build: the counts must agree.
+  const auto enumerate = [&](std::shared_ptr<const core::FilterPlan> plan) {
+    core::SearchOptions o;
+    o.maxSolutions = enumerateCap;
+    o.storeLimit = 1;
+    core::SearchContext context(o);
+    context.setPlanBuilder(std::make_shared<core::SharedPlanBuilder>(std::move(plan)));
+    return core::ecfSearch(problem, context).solutionCount;
+  };
+  const auto plan = core::FilterPlan::build(problem, core::SearchOptions{});
+  auto flatPlan = std::make_shared<core::FilterPlan>(*plan);
+  flatPlan->filters = std::move(*flat);
+  report.enumerated = enumerate(plan);
+  report.enumeratedFlat = enumerate(std::move(flatPlan));
   return report;
 }
 
@@ -752,19 +810,19 @@ void writeJson(std::ostream& os, const std::vector<InstanceReport>& reports,
      << ", \"query_edges\": " << large.queryEdges << ", \"auto_ordering\": \""
      << large.autoOrdering
      << "\",\n    \"build_speedup\": " << large.buildSpeedup()
-     << ", \"shard_configs\": [\n";
+     << ", \"first_match_ms\": " << large.firstMatchMs
+     << ", \"enumerated\": " << large.enumerated
+     << ", \"enumerated_flat\": " << large.enumeratedFlat << ", \"shard_configs\": [\n";
   for (std::size_t i = 0; i < large.configs.size(); ++i) {
     const ShardConfigReport& c = large.configs[i];
-    os << "      {\"shards\": " << c.requested
-       << ", \"resolved_shards\": " << c.resolved
+    os << "      {\"shards\": \"" << c.label
+       << "\", \"resolved_shards\": " << c.resolved
        << ", \"filter_build_ms\": " << c.filterBuildMs
-       << ", \"first_match_ms\": " << c.firstMatchMs
-       << ", \"enumerated\": " << c.enumerated
+       << ", \"identical_to_flat\": " << (c.identicalToFlat ? "true" : "false")
        << ",\n       \"peak_rss_mb\": " << c.peakRssMb
        << ", \"memory\": {\"csr_bytes\": " << c.memory.csrBytes
        << ", \"bit_row_bytes\": " << c.memory.bitRowBytes
        << ", \"viability_bytes\": " << c.memory.viabilityBytes
-       << ", \"occupancy_bytes\": " << c.memory.occupancyBytes
        << ", \"total_bytes\": " << c.memory.total() << "}}"
        << (i + 1 < large.configs.size() ? "," : "") << "\n";
   }
@@ -925,13 +983,11 @@ int main(int argc, char** argv) {
   mutationTable.print(std::cout);
 
   util::TablePrinter largeTable({"shards", "resolved", "build (ms)",
-                                 "first match (ms)", "enumerated", "filter MB",
-                                 "peak RSS MB"});
+                                 "= flat", "filter MB", "peak RSS MB"});
   for (const ShardConfigReport& c : largeHost.configs) {
     largeTable.addRow(
-        {std::to_string(c.requested), std::to_string(c.resolved),
-         util::formatFixed(c.filterBuildMs, 2),
-         util::formatFixed(c.firstMatchMs, 2), std::to_string(c.enumerated),
+        {c.label, std::to_string(c.resolved), util::formatFixed(c.filterBuildMs, 2),
+         c.identicalToFlat ? "yes" : "NO",
          util::formatFixed(static_cast<double>(c.memory.total()) / (1024.0 * 1024.0),
                            1),
          util::formatFixed(c.peakRssMb, 0)});
@@ -942,7 +998,10 @@ int main(int argc, char** argv) {
             << ") ===\n";
   largeTable.print(std::cout);
   std::cout << "sharded build speedup: "
-            << util::formatFixed(largeHost.buildSpeedup(), 2) << "x\n";
+            << util::formatFixed(largeHost.buildSpeedup(), 2)
+            << "x; first match " << util::formatFixed(largeHost.firstMatchMs, 2)
+            << " ms, enumerated " << largeHost.enumerated << " (flat matrix "
+            << largeHost.enumeratedFlat << ")\n";
 
   util::TablePrinter satTable({"requests", "done", "rejected", "expired",
                                "preempted", "goodput/s", "high p99 (ms)",
@@ -994,14 +1053,21 @@ int main(int argc, char** argv) {
               << " (rebuilt) vs " << mutation.enumeratedPatch << " (patched)\n";
     ok = false;
   }
-  // Shard counts are a pure performance knob: every config must see the same
-  // solutions. Unconditional, like the bitset-mode cross-check.
-  if (!largeHost.countsAgree()) {
-    std::cerr << "FAIL: large_host shard configs disagree on solution count:";
+  // The shard map changes how the filter is built, never what it holds:
+  // every config's matrix must be byte-equal to the flat one (the engines
+  // read nothing else, so their solutions agree too). Unconditional, like
+  // the bitset-mode cross-check.
+  if (!largeHost.matricesAgree()) {
+    std::cerr << "FAIL: large_host shard configs differ from the flat matrix:";
     for (const ShardConfigReport& c : largeHost.configs) {
-      std::cerr << " shards=" << c.requested << " -> " << c.enumerated;
+      if (!c.identicalToFlat) std::cerr << " shards=" << c.label;
     }
     std::cerr << "\n";
+    ok = false;
+  }
+  if (largeHost.enumerated != largeHost.enumeratedFlat) {
+    std::cerr << "FAIL: large_host enumerated " << largeHost.enumerated
+              << " (forHost plan) vs " << largeHost.enumeratedFlat << " (flat matrix)\n";
     ok = false;
   }
   if (shardCheck) {

@@ -115,11 +115,6 @@ constexpr FlagDoc kFlags[] = {
      "(re-picks the smallest live domain each depth) | auto (picks dynamic "
      "when the stage-1 viable counts are near-uniform — the shape where "
      "static ties hide a bottleneck)"},
-    {"--shards", "N", "1",
-     "host-node shards for the filter matrix (<= 64; 0 = one per hardware "
-     "thread). Sharding skips whole shard-pair buckets of the stage-1 sweep "
-     "and restricts search intersections to live shards; pure perf knob — "
-     "solutions are byte-identical to --shards 1"},
     {"--timeout", "MS", "10000", "search budget"},
     {"--seed", "N", "42", "RNG seed (host synthesis, demo sampling, traces)"},
     {"--csv", "", "off", "machine-readable mapping output"},
@@ -394,8 +389,6 @@ int main(int argc, char** argv) {
     request.options.storeLimit = std::max<std::size_t>(request.options.maxSolutions, 16);
     request.options.timeout = std::chrono::milliseconds(args.getInt("timeout", 10000));
     request.options.ordering = parseOrdering(args.getString("ordering", "auto"));
-    request.options.shards =
-        static_cast<std::size_t>(args.getInt("shards", 1));
     request.options.seed = seed;
     request.qos.priority = parsePriority(args.getString("priority", "normal"));
     request.qos.tenant = args.getSeed("tenant", 0);

@@ -23,18 +23,10 @@
 // the visit order — are identical across BitsetMode Off/Auto/Force, keeping
 // "bitset mode is purely a performance knob" true under Dynamic too.
 //
-// Sharded plans add a per-node live-shard mask (occ_): a superset of the
-// shards whose word range of the domain row is non-zero, seeded from the
-// filter's occupancy summaries. Updates then AND only the shards surviving
-// the intersection and explicitly zero the shards leaving the mask (their
-// true AND result — the constrainer is empty there), so rows stay exact and
-// the unsharded visit order is reproduced bit for bit.
-//
 // Assignments form a stack (assign/unassign), mirroring the DFS; undo
 // restores the saved rows and counts of exactly the nodes the assignment
 // touched. One tracker per search worker; no sharing, no synchronization.
 
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <limits>
@@ -63,7 +55,6 @@ class DomainTracker {
     touchedEpoch_.assign(nq_, 0);
     scratch_.assign(nr_);
     frames_.resize(nq_ + 1);
-    if (fm_.sharded()) occ_.assign(nq_, 0);
     reset();
   }
 
@@ -76,7 +67,6 @@ class DomainTracker {
       counts_[v] = static_cast<std::uint32_t>(fm_.viable(v).size());
       assigned_[v] = 0;
       touchedEpoch_[v] = 0;
-      if (!occ_.empty()) occ_[v] = fm_.viableShardMask(v);
     }
     depth_ = 0;
     epoch_ = 0;
@@ -124,57 +114,21 @@ class DomainTracker {
       std::uint64_t* row = domains_.rowData(w);
       if (touchedEpoch_[w] != epoch_) {
         touchedEpoch_[w] = epoch_;
-        f.saved.push_back({w, counts_[w], occ_.empty() ? 0 : occ_[w]});
+        f.saved.push_back({w, counts_[w]});
         f.arena.insert(f.arena.end(), row, row + words_);
       }
       std::span<const std::uint64_t> constr;
-      std::uint64_t constrOcc = ~std::uint64_t{0};
       if (fm_.hasCandidateBits(v, s)) {
         constr = fm_.candidateBits(v, s, r);
-        if (!occ_.empty()) constrOcc = fm_.candidateShardMask(v, s, r);
       } else {
         // CSR-only cell: materialize the sorted list as a row so the
-        // maintained domain stays exact in every bitset mode; accumulate the
-        // shard occupancy while scattering — exact for free.
+        // maintained domain stays exact in every bitset mode.
         scratch_.clearAll();
-        if (occ_.empty()) {
-          for (const graph::NodeId c : fm_.candidates(v, s, r)) scratch_.set(c);
-        } else {
-          constrOcc = 0;
-          const ShardMap& smap = fm_.shardMap();
-          for (const graph::NodeId c : fm_.candidates(v, s, r)) {
-            scratch_.set(c);
-            constrOcc |= std::uint64_t{1} << smap.shardOf(c);
-          }
-        }
+        for (const graph::NodeId c : fm_.candidates(v, s, r)) scratch_.set(c);
         constr = scratch_.words();
       }
-      if (occ_.empty()) {
-        counts_[w] = static_cast<std::uint32_t>(
-            util::simd::andIntoPopcount(row, constr.data(), words_));
-      } else {
-        // Shard-restricted narrowing: AND only the shards both sides can
-        // occupy; zero the shards leaving the mask (their exact AND result,
-        // since the constrainer holds no bit there). Shards already outside
-        // occ_[w] are all-zero by invariant and stay untouched.
-        const ShardMap& smap = fm_.shardMap();
-        const std::uint64_t newOcc = occ_[w] & constrOcc;
-        std::size_t count = 0;
-        for (std::uint64_t m = newOcc; m != 0; m &= m - 1) {
-          const auto k = static_cast<std::size_t>(std::countr_zero(m));
-          count += util::simd::andIntoPopcountRange(row, constr.data(),
-                                                    smap.beginWord(k),
-                                                    smap.endWord(k));
-        }
-        for (std::uint64_t m = occ_[w] & ~newOcc; m != 0; m &= m - 1) {
-          const auto k = static_cast<std::size_t>(std::countr_zero(m));
-          for (std::size_t wd = smap.beginWord(k); wd < smap.endWord(k); ++wd) {
-            row[wd] = 0;
-          }
-        }
-        occ_[w] = newOcc;
-        counts_[w] = static_cast<std::uint32_t>(count);
-      }
+      counts_[w] = static_cast<std::uint32_t>(
+          util::simd::andIntoPopcount(row, constr.data(), words_));
       if (counts_[w] == 0) alive = false;
     }
     // r is taken: drop it from every other live domain (a one-bit edit —
@@ -198,7 +152,6 @@ class DomainTracker {
       std::uint64_t* row = domains_.rowData(s.node);
       for (std::size_t w = 0; w < words_; ++w) row[w] = src[w];
       counts_[s.node] = s.count;
-      if (!occ_.empty()) occ_[s.node] = s.occ;
       src += words_;
     }
     for (const graph::NodeId w : f.cleared) {
@@ -253,7 +206,6 @@ class DomainTracker {
   struct SavedDomain {
     graph::NodeId node;
     std::uint32_t count;
-    std::uint64_t occ;  // live-shard mask at save time (sharded plans only)
   };
   /// Undo record for one assignment: full copies of the rows that were
   /// ANDed, plus the nodes that only lost the single bit `r`.
@@ -276,11 +228,6 @@ class DomainTracker {
   std::vector<std::uint32_t> touchedEpoch_;  // dedups full-row saves per frame
   std::uint32_t epoch_ = 0;
   util::Bitset scratch_;  // CSR-cell row materialization
-  /// Per node: superset of the shards whose slice of the domain row holds
-  /// any bit (invariant: slices outside the mask are all-zero). Empty on
-  /// unsharded plans — every occ branch above then compiles to the
-  /// historical flat update.
-  std::vector<std::uint64_t> occ_;
   std::vector<Frame> frames_;
   std::size_t depth_ = 0;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -91,22 +90,6 @@ class FilteredWorker {
       out.push_back(static_cast<graph::NodeId>(r));
     };
     if (earlier.empty()) {
-      if (fm.sharded()) {
-        // Root / next component under sharding: only the shards with a
-        // viable node for v can contribute; dead shards are never touched
-        // (their scratch words go stale, but stale words are never read —
-        // every consumer below walks only the ranges it just wrote).
-        const ShardMap& smap = fm.shardMap();
-        liveShards_ = fm.viableShardMask(v);
-        for (std::uint64_t m = liveShards_; m != 0; m &= m - 1) {
-          const auto k = static_cast<std::size_t>(std::countr_zero(m));
-          const std::size_t b = smap.beginWord(k);
-          const std::size_t e = smap.endWord(k);
-          scratch_.assignAndNotRange(fm.viableBits(v), used_, b, e);
-          scratch_.forEachSetInRange(b, e, emit);
-        }
-        return;
-      }
       // Root / next component: viable minus used, fused into one pass.
       scratch_.assignAndNot(fm.viableBits(v), used_);
       scratch_.forEachSet(emit);
@@ -126,42 +109,6 @@ class FilteredWorker {
     }
     if (allBits) {
       const FilterMatrix::Constrainer& first = earlier.front();
-      if (fm.sharded()) {
-        // Live-shard mask: intersect the per-row occupancy summaries first
-        // (one word per row instead of hostWords()), then run the word ANDs
-        // only over the surviving shards. Occupancy is exact for viability
-        // and for bits-backed cells — which is all of them on this path —
-        // so a skipped shard provably holds no candidate. Ascending shard
-        // order keeps the emit order ascending, matching the flat sweep.
-        std::uint64_t live = fm.viableShardMask(v);
-        for (const FilterMatrix::Constrainer& c : earlier) {
-          live &= fm.candidateShardMask(c.owner, c.slot, mapping_[c.owner]);
-          if (live == 0) return;
-        }
-        liveShards_ = live;
-        const ShardMap& smap = fm.shardMap();
-        for (std::uint64_t m = live; m != 0; m &= m - 1) {
-          const auto k = static_cast<std::size_t>(std::countr_zero(m));
-          const std::size_t b = smap.beginWord(k);
-          const std::size_t e = smap.endWord(k);
-          if (!scratch_.assignAndAndNotRange(
-                  fm.candidateBits(first.owner, first.slot, mapping_[first.owner]),
-                  fm.viableBits(v), used_, b, e)) {
-            continue;
-          }
-          bool aliveHere = true;
-          for (std::size_t i = 1; i < earlier.size(); ++i) {
-            const FilterMatrix::Constrainer& c = earlier[i];
-            if (!scratch_.andWithRange(
-                    fm.candidateBits(c.owner, c.slot, mapping_[c.owner]), b, e)) {
-              aliveHere = false;
-              break;
-            }
-          }
-          if (aliveHere) scratch_.forEachSetInRange(b, e, emit);
-        }
-        return;
-      }
       if (!scratch_.assignAndAndNot(
               fm.candidateBits(first.owner, first.slot, mapping_[first.owner]),
               fm.viableBits(v), used_)) {
@@ -280,10 +227,6 @@ class FilteredWorker {
   Mapping mapping_;
   util::Bitset used_;     // host nodes taken by the current partial mapping
   util::Bitset scratch_;  // eq.-2 intersection accumulator
-  /// Shards the most recent intersection could still reach (1-word bitset
-  /// for <= 64 shards; all-ones outside sharded plans). Diagnostic mirror of
-  /// the masks driving the range-restricted ANDs above.
-  std::uint64_t liveShards_ = ~std::uint64_t{0};
   std::vector<std::vector<graph::NodeId>> candidateBuffers_;
   std::unique_ptr<DomainTracker> tracker_;  // dynamic ordering only
   SearchStats stats_;
@@ -379,8 +322,8 @@ EmbedResult filteredSearch(const Problem& problem, SearchContext& context,
   const Ordering ordering = chooseOrdering(*plan, options.ordering);
 
   // Dynamic ordering picks its own first node (smallest stage-1 viable set,
-  // static position as tie-break) — identical to order.front() whenever the
-  // plan was Lemma-1 sorted, but correct under the staticOrdering ablation.
+  // static position as tie-break) — identical to order.front() on the
+  // Lemma-1 sorted plans every ordering but Declared builds.
   const graph::NodeId rootNode = ordering == Ordering::Dynamic
                                      ? DomainTracker::firstNode(*plan)
                                      : plan->order.front();

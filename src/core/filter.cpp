@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
 #include <utility>
 
 #include "util/fault.hpp"
@@ -15,20 +14,25 @@ namespace {
 
 /// Dense bitmap of node-level viability (node constraint + degree bound),
 /// computed once up front; O(NQ * NR) evaluations of the node constraint.
-/// Cancellable mid-row: on large hosts with an expensive node constraint
-/// this stage alone can outlive a portfolio race or a deadline. Unsharded,
-/// tasks are whole rows (disjoint word ranges); sharded, one task per
-/// (query node, shard) fills that shard's word subrange of the row —
-/// better locality on wide rows, and each shard task is independently
-/// cancellable and fault-injectable at the plan.shard_build site.
+/// One task per (query node, shard) fills that shard's word subrange of the
+/// row (a whole row on one shard), so tasks write disjoint words. Tasks are
+/// cancellable mid-range — on large hosts with an expensive node constraint
+/// this stage alone can outlive a portfolio race or a deadline — and, when
+/// there is more than one shard, fault-injectable at plan.shard_build.
 util::BitMatrix nodeViability(const Problem& p, const SearchOptions& options,
                               const ShardMap& shards,
                               const std::function<bool()>& cancelled) {
   const std::size_t nq = p.query->nodeCount();
-  const std::size_t nr = p.host->nodeCount();
-  util::BitMatrix ok(nq, nr);
+  util::BitMatrix ok(nq, p.host->nodeCount());
   constexpr std::size_t kCancelPollStride = 4096;
-  const auto evalRange = [&](std::size_t q, graph::NodeId begin, graph::NodeId end) {
+  const std::size_t s = shards.shardCount();
+  const auto evalTask = [&](std::size_t t) {
+    if (s > 1 && util::FaultInjector::enabled()) {
+      util::faultPoint(util::faultsite::kShardBuild);
+    }
+    const std::size_t q = t / s;
+    const auto begin = static_cast<graph::NodeId>(shards.beginNode(t % s));
+    const auto end = static_cast<graph::NodeId>(shards.endNode(t % s));
     std::uint64_t* row = ok.rowData(q);
     for (graph::NodeId r = begin; r < end; ++r) {
       if ((r - begin) % kCancelPollStride == 0 && cancelled && cancelled()) {
@@ -40,40 +44,12 @@ util::BitMatrix nodeViability(const Problem& p, const SearchOptions& options,
       }
     }
   };
-  const std::size_t s = shards.shardCount();
-  if (s > 1) {
-    const auto evalShardTask = [&](std::size_t t) {
-      if (util::FaultInjector::enabled()) {
-        util::faultPoint(util::faultsite::kShardBuild);
-      }
-      const std::size_t k = t % s;
-      evalRange(t / s, static_cast<graph::NodeId>(shards.beginNode(k)),
-                static_cast<graph::NodeId>(shards.endNode(k)));
-    };
-    if (options.parallelFilterBuild) {
-      util::parallelFor(nq * s, evalShardTask, 1);
-    } else {
-      for (std::size_t t = 0; t < nq * s; ++t) evalShardTask(t);
-    }
-    return ok;
-  }
-  const auto evalRow = [&](std::size_t q) {
-    evalRange(q, 0, static_cast<graph::NodeId>(nr));
-  };
-  if (options.parallelFilterBuild && nq > 1) {
-    util::parallelFor(nq, evalRow, 1);
+  if (options.parallelFilterBuild && nq * s > 1) {
+    util::parallelFor(nq * s, evalTask, 1);
   } else {
-    for (std::size_t q = 0; q < nq; ++q) evalRow(q);
+    for (std::size_t t = 0; t < nq * s; ++t) evalTask(t);
   }
   return ok;
-}
-
-/// SearchOptions::shards -> shard count: 0 means one shard per hardware
-/// thread; ShardMap then clamps to [1, min(64, host word count)].
-[[nodiscard]] std::size_t resolveShardCount(std::size_t requested) noexcept {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
 }
 
 /// Density heuristic: does a cell with `entries` stored candidates over an
@@ -106,6 +82,14 @@ util::BitMatrix nodeViability(const Problem& p, const SearchOptions& options,
 
 FilterMatrix FilterMatrix::build(const Problem& problem, const SearchOptions& options,
                                  SearchStats& stats,
+                                 const std::function<bool()>& cancelled) {
+  problem.validate();
+  return build(problem, options, ShardMap::forHost(problem.host->nodeCount()),
+               stats, cancelled);
+}
+
+FilterMatrix FilterMatrix::build(const Problem& problem, const SearchOptions& options,
+                                 const ShardMap& shards, SearchStats& stats,
                                  const std::function<bool()>& cancelled) {
   util::Stopwatch timer;
   problem.validate();
@@ -140,38 +124,55 @@ FilterMatrix FilterMatrix::build(const Problem& problem, const SearchOptions& op
   const std::size_t cellCount = fm.slotBase_[nq];
   fm.cells_.resize(cellCount);
   fm.cellBits_.resize(cellCount);
-  fm.cellOcc_.resize(cellCount);
   fm.hostAdjacencySlots_ = h.edgeCount() * (h.directed() ? 1 : 2);
 
   // --- shard partition ------------------------------------------------------
-  fm.shards_ = ShardMap(nr, resolveShardCount(options.shards));
-  const ShardMap& sm = fm.shards_;
-  const std::size_t shardCount = sm.shardCount();
-  const bool sharded = shardCount > 1;
+  if (shards.hostNodes() != nr) {
+    throw std::invalid_argument("FilterMatrix::build: shard map does not match the host");
+  }
+  fm.shards_ = shards;
+  const std::size_t shardCount = shards.shardCount();
 
   // --- stage 0: node-level viability bitmap --------------------------------
   // Moved into the matrix at the end: patch() re-gates pair evaluations with
   // it so node constraints only re-run over the touched host nodes.
-  util::BitMatrix nodeOk = nodeViability(problem, options, sm, cancelled);
+  util::BitMatrix nodeOk = nodeViability(problem, options, shards, cancelled);
 
-  // Sharded: bucket the host edges by (source shard, target shard) once per
-  // build, and summarize stage-0 viability per (query node, shard). Stage 1
-  // then walks buckets instead of the flat edge list and skips every bucket
-  // whose shard pair cannot pass the per-pair node gate in any orientation —
-  // the same gate build() applies per pair, hoisted to shard granularity.
-  // Off-diagonal buckets are the boundary-cell overlay: cross-shard host
-  // edges evaluated under exactly the flat per-pair rules, so a query whose
-  // candidates span shards sees byte-identical candidate sets.
-  std::vector<std::uint64_t> nodeOkOcc;
-  std::vector<std::vector<graph::EdgeId>> edgeBuckets;
-  if (sharded) {
-    nodeOkOcc.resize(nq);
-    for (std::size_t v = 0; v < nq; ++v) nodeOkOcc[v] = sm.occupancy(nodeOk.row(v));
-    edgeBuckets.assign(shardCount * shardCount, {});
+  // Bucket the host edges by (source shard, target shard) — a stable
+  // counting sort into bucketEdges[bucketStart[b], bucketStart[b + 1]) — and
+  // summarize stage-0 viability per (query node, shard). Stage 1 then walks
+  // buckets and skips every bucket whose shard pair cannot pass the
+  // per-pair node gate in any orientation: the same gate the per-pair
+  // evaluation applies, hoisted to shard granularity. Off-diagonal buckets
+  // hold the cross-shard edges, evaluated under exactly the per-pair rules,
+  // so candidate sets do not depend on the partition. One shard is one
+  // bucket holding every edge in id order, so it skips the sort and leaves
+  // bucketEdges empty.
+  std::vector<std::uint64_t> nodeOkOcc(nq);
+  for (std::size_t v = 0; v < nq; ++v) nodeOkOcc[v] = shards.occupancy(nodeOk.row(v));
+  std::vector<std::size_t> bucketStart{0, h.edgeCount()};
+  std::vector<graph::EdgeId> bucketEdges;
+  if (shardCount > 1) {
+    // Per-node shard ids, so the two passes below index instead of dividing.
+    static_assert(ShardMap::kMaxShards <= 256, "shard ids are stored as bytes");
+    std::vector<std::uint8_t> shardOfNode(nr);
+    for (std::size_t k = 0; k < shardCount; ++k) {
+      std::fill(shardOfNode.begin() + static_cast<std::ptrdiff_t>(shards.beginNode(k)),
+                shardOfNode.begin() + static_cast<std::ptrdiff_t>(shards.endNode(k)),
+                static_cast<std::uint8_t>(k));
+    }
+    const auto bucketOf = [&](graph::EdgeId he) {
+      return shardOfNode[h.edgeSource(he)] * shardCount + shardOfNode[h.edgeTarget(he)];
+    };
+    bucketStart.assign(shardCount * shardCount + 1, 0);
+    for (graph::EdgeId he = 0; he < h.edgeCount(); ++he) ++bucketStart[bucketOf(he) + 1];
+    for (std::size_t b = 0; b + 1 < bucketStart.size(); ++b) {
+      bucketStart[b + 1] += bucketStart[b];
+    }
+    bucketEdges.resize(h.edgeCount());
+    std::vector<std::size_t> cursor(bucketStart.begin(), bucketStart.end() - 1);
     for (graph::EdgeId he = 0; he < h.edgeCount(); ++he) {
-      edgeBuckets[sm.shardOf(h.edgeSource(he)) * shardCount +
-                  sm.shardOf(h.edgeTarget(he))]
-          .push_back(he);
+      bucketEdges[cursor[bucketOf(he)]++] = he;
     }
   }
 
@@ -211,74 +212,65 @@ FilterMatrix FilterMatrix::build(const Problem& problem, const SearchOptions& op
     auto& pairs = matchPairs[qeIndex];
     std::uint64_t localEvals = 0;
 
-    // Per-pair evaluation, identical on the flat and the bucketed path.
+    // Per-pair evaluation, the same for every partition.
+    const auto okA = nodeOk.row(qa);
+    const auto okB = nodeOk.row(qb);
     const auto evalHostEdge = [&](graph::EdgeId he) {
       const graph::NodeId ra = h.edgeSource(he);
       const graph::NodeId rb = h.edgeTarget(he);
+      const bool forward = util::testBit(okA, ra) && util::testBit(okB, rb);
       if (h.directed()) {
-        if (nodeOk.test(qa, ra) && nodeOk.test(qb, rb) &&
-            problem.edgeOk(qe, qa, qb, he, ra, rb, localEvals)) {
+        if (forward && problem.edgeOk(qe, qa, qb, he, ra, rb, localEvals)) {
           pairs.emplace_back(ra, rb);
         }
         return;
       }
+      const bool backward = util::testBit(okA, rb) && util::testBit(okB, ra);
       if (symmetric) {
-        const bool forward = nodeOk.test(qa, ra) && nodeOk.test(qb, rb);
-        const bool backward = nodeOk.test(qa, rb) && nodeOk.test(qb, ra);
         if (!forward && !backward) return;
         if (!problem.edgeOk(qe, qa, qb, he, ra, rb, localEvals)) return;
         if (forward) pairs.emplace_back(ra, rb);
         if (backward) pairs.emplace_back(rb, ra);
       } else {
-        if (nodeOk.test(qa, ra) && nodeOk.test(qb, rb) &&
-            problem.edgeOk(qe, qa, qb, he, ra, rb, localEvals)) {
+        if (forward && problem.edgeOk(qe, qa, qb, he, ra, rb, localEvals)) {
           pairs.emplace_back(ra, rb);
         }
-        if (nodeOk.test(qa, rb) && nodeOk.test(qb, ra) &&
-            problem.edgeOk(qe, qa, qb, he, rb, ra, localEvals)) {
+        if (backward && problem.edgeOk(qe, qa, qb, he, rb, ra, localEvals)) {
           pairs.emplace_back(rb, ra);
         }
       }
     };
 
-    if (sharded) {
-      // Bucketed sweep. A bucket (sA, sB) can only yield pairs when some
-      // orientation passes the per-shard stage-0 summary; every per-pair
-      // node gate inside a skipped bucket would have failed before reaching
-      // edgeOk, so skipping changes neither candidates nor eval counts.
-      // Pair discovery order differs from the flat sweep, but stage 2's
-      // counting sort keys cells on (host node, candidate), making the CSR
-      // layout — and everything downstream — order-independent.
-      const auto anyOk = [&](graph::NodeId v, std::size_t k) {
-        return ((nodeOkOcc[v] >> k) & 1u) != 0;
-      };
-      std::size_t polls = 0;
-      for (std::size_t sA = 0; sA < shardCount; ++sA) {
-        for (std::size_t sB = 0; sB < shardCount; ++sB) {
-          const auto& bucket = edgeBuckets[sA * shardCount + sB];
-          if (bucket.empty()) continue;
-          bool reachable = anyOk(qa, sA) && anyOk(qb, sB);
-          if (!h.directed() && !reachable) {
-            reachable = anyOk(qa, sB) && anyOk(qb, sA);
-          }
-          if (!reachable) continue;
-          if (util::FaultInjector::enabled()) {
-            util::faultPoint(util::faultsite::kShardBuild);
-          }
-          for (const graph::EdgeId he : bucket) {
-            if (polls++ % kCancelPollStride == 0 && cancelled && cancelled()) {
-              throw FilterBuildCancelled();
-            }
-            evalHostEdge(he);
-          }
+    // A bucket (sA, sB) can only yield pairs when some orientation passes
+    // the per-shard stage-0 summary; every per-pair node gate inside a
+    // skipped bucket would have failed before reaching edgeOk, so skipping
+    // changes neither candidates nor eval counts. Pair discovery order
+    // depends on the partition, but stage 2's counting sort keys cells on
+    // (host node, candidate), making the CSR layout — and everything
+    // downstream — order-independent.
+    const auto anyOk = [&](graph::NodeId v, std::size_t k) {
+      return ((nodeOkOcc[v] >> k) & 1u) != 0;
+    };
+    std::size_t polls = 0;
+    for (std::size_t sA = 0; sA < shardCount; ++sA) {
+      for (std::size_t sB = 0; sB < shardCount; ++sB) {
+        const std::size_t b = sA * shardCount + sB;
+        if (bucketStart[b] == bucketStart[b + 1]) continue;
+        bool reachable = anyOk(qa, sA) && anyOk(qb, sB);
+        if (!h.directed() && !reachable) {
+          reachable = anyOk(qa, sB) && anyOk(qb, sA);
         }
-      }
-    } else {
-      for (graph::EdgeId he = 0; he < h.edgeCount(); ++he) {
-        if (he % kCancelPollStride == 0 && cancelled && cancelled()) {
-          throw FilterBuildCancelled();
+        if (!reachable) continue;
+        if (shardCount > 1 && util::FaultInjector::enabled()) {
+          util::faultPoint(util::faultsite::kShardBuild);
         }
-        evalHostEdge(he);
+        for (std::size_t i = bucketStart[b], end = bucketStart[b + 1]; i < end; ++i) {
+          if (polls++ % kCancelPollStride == 0 && cancelled && cancelled()) {
+            throw FilterBuildCancelled();
+          }
+          evalHostEdge(bucketEdges.empty() ? static_cast<graph::EdgeId>(i)
+                                           : bucketEdges[i]);
+        }
       }
     }
 
@@ -354,11 +346,6 @@ FilterMatrix FilterMatrix::build(const Problem& problem, const SearchOptions& op
                                          << (c % util::kBitsPerWord);
         }
       }
-      if (sharded) {
-        auto& occ = fm.cellOcc_[cellIndex];
-        occ.resize(nr);
-        for (graph::NodeId r = 0; r < nr; ++r) occ[r] = sm.occupancy(bits.row(r));
-      }
     }
   };
   if (options.parallelFilterBuild && cellCount > 1) {
@@ -369,7 +356,6 @@ FilterMatrix FilterMatrix::build(const Problem& problem, const SearchOptions& op
 
   // --- viable lists + bit rows (strengthened eq. 1) -------------------------
   fm.viableBits_.assign(nq, nr);
-  if (sharded) fm.viableOcc_.assign(nq, 0);
   const auto fillViable = [&](std::size_t vIndex) {
     if (cancelled && cancelled()) throw FilterBuildCancelled();
     const auto v = static_cast<graph::NodeId>(vIndex);
@@ -390,7 +376,6 @@ FilterMatrix FilterMatrix::build(const Problem& problem, const SearchOptions& op
         row[r / util::kBitsPerWord] |= std::uint64_t{1} << (r % util::kBitsPerWord);
       }
     }
-    if (sharded) fm.viableOcc_[v] = sm.occupancy(fm.viableBits_.row(v));
   };
   if (options.parallelFilterBuild && nq > 1) {
     util::parallelFor(nq, fillViable, 1);
@@ -595,9 +580,6 @@ void FilterMatrix::patch(const Problem& problem, const SearchOptions& options,
           const graph::NodeId s = csr.data[i];
           row[s / util::kBitsPerWord] |= std::uint64_t{1} << (s % util::kBitsPerWord);
         }
-        if (!cellOcc_[c].empty()) {
-          cellOcc_[c][e.key] = shards_.occupancy(bits.row(e.key));
-        }
       }
     }
   };
@@ -645,9 +627,6 @@ void FilterMatrix::patch(const Problem& problem, const SearchOptions& options,
       for (graph::NodeId r = 0; r < nr; ++r) {
         if (viableBits_.test(v, r)) out.push_back(r);
       }
-      if (!viableOcc_.empty()) {
-        viableOcc_[v] = shards_.occupancy(viableBits_.row(v));
-      }
     }
   };
   if (parallel && nq > 1) {
@@ -673,8 +652,6 @@ FilterMatrix::MemoryBreakdown FilterMatrix::memoryBreakdown() const noexcept {
   mb.viabilityBytes +=
       2 * viableBits_.rows() * viableBits_.wordsPerRow() * sizeof(std::uint64_t);
   for (const auto& list : viable_) mb.viabilityBytes += list.size() * sizeof(graph::NodeId);
-  for (const auto& occ : cellOcc_) mb.occupancyBytes += occ.size() * sizeof(std::uint64_t);
-  mb.occupancyBytes += viableOcc_.size() * sizeof(std::uint64_t);
   return mb;
 }
 

@@ -73,10 +73,19 @@ class FilterMatrix {
   /// the CSR/bitset scatter) — a portfolio loser or an expired deadline must
   /// not keep burning CPU on a build nobody will search; when it returns
   /// true the build throws FilterBuildCancelled. The predicate may be
-  /// invoked concurrently when parallelFilterBuild is on.
+  /// invoked concurrently when parallelFilterBuild is on. The host is
+  /// partitioned by ShardMap::forHost; the shard count changes how the build
+  /// runs, never what it produces.
   [[nodiscard]] static FilterMatrix build(
       const Problem& problem, const SearchOptions& options, SearchStats& stats,
       const std::function<bool()>& cancelled = {});
+
+  /// build() over an explicit partition of `problem.host`'s nodes. For
+  /// tests and benchmarks that compare shard counts: every map yields
+  /// byte-identical cells, viable lists and viability rows.
+  [[nodiscard]] static FilterMatrix build(
+      const Problem& problem, const SearchOptions& options, const ShardMap& shards,
+      SearchStats& stats, const std::function<bool()>& cancelled = {});
 
   /// Incrementally re-evaluate this matrix against an attribute-only host
   /// delta: `problem.host` is the post-mutation graph (same topology as the
@@ -144,6 +153,12 @@ class FilterMatrix {
     return viableBits_.row(v);
   }
 
+  /// Stage-0 node-level viability of v (degree bound + node constraint),
+  /// before the slot-support check that viableBits adds. hostWords() wide.
+  [[nodiscard]] std::span<const std::uint64_t> nodeOkBits(graph::NodeId v) const {
+    return nodeOkBits_.row(v);
+  }
+
   [[nodiscard]] bool isViable(graph::NodeId v, graph::NodeId r) const {
     return viableBits_.test(v, r);
   }
@@ -166,44 +181,17 @@ class FilterMatrix {
     return hostAdjacencySlots_;
   }
 
-  // --- sharded host model ---------------------------------------------------
-  // With SearchOptions::shards > 1 the host-node id space is partitioned into
-  // word-aligned contiguous ranges (core::ShardMap): stage 0 and the stage-1
-  // edge sweep run shard-local (cross-shard host edges land in boundary
-  // buckets evaluated under the same per-pair rules, so candidate content is
-  // byte-identical to a flat build), and per-row occupancy summaries let the
-  // search restrict intersections to shards that can still hold candidates.
-
-  /// The partition this matrix was built with (single-shard by default).
+  /// The host partition this matrix was built with; FilterPlan::patch
+  /// classifies deltas against it.
   [[nodiscard]] const ShardMap& shardMap() const noexcept { return shards_; }
-
-  /// True when the build partitioned the host into more than one shard.
-  [[nodiscard]] bool sharded() const noexcept { return shards_.shardCount() > 1; }
-
-  /// Shards holding at least one viable host node for v. Falls back to
-  /// all-shards-live when no occupancy summary is maintained (unsharded).
-  [[nodiscard]] std::uint64_t viableShardMask(graph::NodeId v) const noexcept {
-    return viableOcc_.empty() ? shards_.fullMask() : viableOcc_[v];
-  }
-
-  /// Shards holding at least one candidate in candidateBits(owner, slot, r).
-  /// Exact when the cell carries bit rows under a sharded build; the
-  /// all-shards-live superset otherwise (always safe to intersect with).
-  [[nodiscard]] std::uint64_t candidateShardMask(graph::NodeId owner,
-                                                 std::uint32_t slot,
-                                                 graph::NodeId r) const noexcept {
-    const auto& occ = cellOcc_[slotBase_[owner] + slot];
-    return occ.empty() ? shards_.fullMask() : occ[r];
-  }
 
   /// Per-structure memory accounting for the bench memory trajectory.
   struct MemoryBreakdown {
     std::size_t csrBytes = 0;        // offsets + data of every cell
     std::size_t bitRowBytes = 0;     // per-cell candidate bit matrices
     std::size_t viabilityBytes = 0;  // viableBits_ + nodeOkBits_ + viable lists
-    std::size_t occupancyBytes = 0;  // shard-occupancy summaries
     [[nodiscard]] std::size_t total() const noexcept {
-      return csrBytes + bitRowBytes + viabilityBytes + occupancyBytes;
+      return csrBytes + bitRowBytes + viabilityBytes;
     }
   };
   [[nodiscard]] MemoryBreakdown memoryBreakdown() const noexcept;
@@ -229,11 +217,6 @@ class FilterMatrix {
   std::size_t hostAdjacencySlots_ = 0;
 
   ShardMap shards_;
-  /// Parallel to cellBits_: per host node r, the shard-occupancy mask of the
-  /// cell's bit row. Empty per cell unless sharded and the cell has bit rows.
-  std::vector<std::vector<std::uint64_t>> cellOcc_;
-  /// Per query node: shard-occupancy of viableBits(v). Empty when unsharded.
-  std::vector<std::uint64_t> viableOcc_;
 };
 
 }  // namespace netembed::core

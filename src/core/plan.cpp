@@ -21,7 +21,7 @@ std::atomic<std::uint64_t> gPlanInPlacePatches{0};
 void finalizeOrder(FilterPlan& plan, const SearchOptions& options, std::size_t nq) {
   plan.order.assign(nq, 0);
   std::iota(plan.order.begin(), plan.order.end(), 0);
-  if (options.staticOrdering) {
+  if (options.ordering != Ordering::Declared) {
     // Lemma 1: ascending candidate count minimizes the permutation tree.
     std::stable_sort(plan.order.begin(), plan.order.end(),
                      [&](graph::NodeId a, graph::NodeId b) {

@@ -4,8 +4,8 @@
 // ECF and RWB spend their setup phase building the same three immutable
 // structures: the FilterMatrix, the Lemma-1 static order, and the per-node
 // index of constrainers assigned earlier in that order. The plan depends only
-// on the problem instance and the plan-relevant options (staticOrdering,
-// maxFilterEntries, bitsetMode — the latter changes only the cell
+// on the problem instance and the plan-relevant options (ordering Declared
+// or not, maxFilterEntries, bitsetMode — the latter changes only the cell
 // representation, never the candidate sets) — not on seeds, budgets or
 // thread counts — so one build
 // can back any number of concurrent searches: every root-split worker, both

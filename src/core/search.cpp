@@ -20,6 +20,7 @@ const char* orderingName(Ordering o) noexcept {
     case Ordering::Static: return "static";
     case Ordering::Dynamic: return "dynamic";
     case Ordering::Auto: return "auto";
+    case Ordering::Declared: return "declared";
   }
   return "?";
 }

@@ -48,7 +48,10 @@ enum class Outcome : std::uint8_t { Complete, Partial, Inconclusive };
 ///    too uniform for the static Lemma-1 order to discriminate (it wins 17x
 ///    on planted cliques but regresses 0.73x on brite_dense). Deterministic
 ///    per plan; resolved once, before any worker starts.
-enum class Ordering : std::uint8_t { Static, Dynamic, Auto };
+///  * Declared — query nodes in declaration order, fixed, with no Lemma-1
+///    sort: the ablation baseline that shows what the sort buys. The only
+///    ordering that changes the plan (its node order); Auto never picks it.
+enum class Ordering : std::uint8_t { Static, Dynamic, Auto, Declared };
 [[nodiscard]] const char* orderingName(Ordering o) noexcept;
 
 /// Candidate-domain representation for stage-1 filter cells (§V-A). Every
@@ -77,8 +80,6 @@ struct SearchOptions {
   std::uint64_t seed = 1;
 
   // --- heuristics (all on by default; benches ablate them) ---
-  /// Lemma-1 static ordering of query nodes by ascending candidate count.
-  bool staticOrdering = true;
   /// LNS: start from the maximum-degree query node.
   bool lnsMaxDegreeStart = true;
   /// LNS: always expand the neighbour with the most links into Covered.
@@ -117,16 +118,6 @@ struct SearchOptions {
   /// (default); 0 = every shared-pool thread plus the participating caller
   /// (hardware threads + 1).
   std::size_t rootSplitThreads = 1;
-
-  /// Host-model shards: the FilterMatrix partitions host nodes into this
-  /// many contiguous word-aligned ranges (see core::ShardMap), builds each
-  /// shard-local, and the filtered engines restrict per-depth intersections
-  /// to the shards a partial mapping can still reach. 1 = unsharded flat
-  /// model (default, historical behavior); 0 = one shard per hardware
-  /// thread. Clamped to at most 64 and to the host's word count. Purely a
-  /// locality/scaling knob: solution streams are byte-identical across
-  /// shard counts.
-  std::size_t shards = 1;
 };
 
 struct SearchStats {

@@ -1,23 +1,21 @@
 #pragma once
-// Shard partitioning of the host-node id space.
+// Shard partitioning of the host-node id space for the stage-1 filter build.
 //
-// The sharded host model (the in-process half of the decomposition-based
-// distributed VNE split) partitions host nodes into contiguous ranges
-// aligned to 64-bit word boundaries, so every packed util::Bitset row over
-// host nodes — stage-0 viability, per-cell candidate rows, per-worker
-// domains — splits into per-shard sub-rows with zero re-packing: a shard's
-// slice of any row is just a word subrange. That alignment is what lets the
-// filter build run shard-local, the eq.-2 intersections restrict themselves
-// to the shards a partial mapping can still reach, and a ModelDelta classify
-// to the shards it touches, all against the *same* flat bit rows every
-// engine already reads.
+// A ShardMap splits host nodes into contiguous ranges aligned to 64-bit word
+// boundaries, so a shard's slice of any packed host-node bit row is just a
+// word subrange. FilterMatrix::build uses it to run stage-0 viability per
+// (query node, shard) and to bucket the stage-1 edge sweep by (source shard,
+// target shard), skipping every bucket the stage-0 summary proves empty.
+// FilterPlan::patch classifies a ModelDelta against the same partition.
+// The search never sees the shards: the cells and viability rows it reads
+// are byte-identical to a one-shard build.
 //
-// The shard count is capped at 64 so a set of live shards fits one word (the
-// per-worker live-shard mask), and clamped to the row's word count so every
-// shard owns at least one word. The default partitioner is contiguous
-// equal-word ranges; the map is a value type, so a min-cut (METIS-style)
-// partitioner can later swap in by emitting a different range table without
-// touching any consumer.
+// The shard count is capped at 64 so a set of shards fits one word (the
+// build's per-query-node stage-0 summary), and clamped to the row's word
+// count so every shard owns at least one word. The partitioner is
+// contiguous equal-word ranges; the map is a value type, so a min-cut
+// (METIS-style) partitioner can later swap in by emitting a different range
+// table without touching any consumer.
 
 #include <cassert>
 #include <cstddef>
@@ -30,7 +28,7 @@ namespace netembed::core {
 
 class ShardMap {
  public:
-  /// A live-shard set must fit one 64-bit word.
+  /// A set of shards must fit one 64-bit word.
   static constexpr std::size_t kMaxShards = 64;
 
   /// The trivial single-shard map over zero nodes (a default-constructed
@@ -51,6 +49,16 @@ class ShardMap {
     count_ = totalWords_ == 0
                  ? 1
                  : (totalWords_ + wordsPerShard_ - 1) / wordsPerShard_;
+  }
+
+  /// The partition FilterMatrix::build uses for a host of `hostNodes`
+  /// nodes: one shard below kMaxShards x 64 = 4,096 nodes, where the flat
+  /// sweep is already cheap and a full split would give one-word shards,
+  /// and kMaxShards shards from there up (balanced to fewer when the word
+  /// count does not divide evenly: 63 on a 100,352-node host).
+  [[nodiscard]] static ShardMap forHost(std::size_t hostNodes) {
+    return ShardMap(hostNodes,
+                    hostNodes < kMaxShards * util::kBitsPerWord ? 1 : kMaxShards);
   }
 
   [[nodiscard]] std::size_t shardCount() const noexcept { return count_; }
@@ -95,13 +103,6 @@ class ShardMap {
       if (any != 0) mask |= std::uint64_t{1} << k;
     }
     return mask;
-  }
-
-  /// All shards live: the mask consumers fall back to when no occupancy
-  /// summary is maintained (single-shard builds).
-  [[nodiscard]] std::uint64_t fullMask() const noexcept {
-    return count_ >= 64 ? ~std::uint64_t{0}
-                        : (std::uint64_t{1} << count_) - 1;
   }
 
   friend bool operator==(const ShardMap&, const ShardMap&) = default;

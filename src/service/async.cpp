@@ -288,8 +288,12 @@ void AsyncNetEmbedService::retryLoop() {
           return a.due < b.due;
         });
     if (!retryStopping_ && util::QosScheduler::Clock::now() < next->due) {
-      // Re-scan after the wait: a later-armed retry may be due earlier.
-      retryCv_.wait_until(lock, next->due);
+      // Wait on a copy: wait_until reads its deadline again after it
+      // re-locks, and a scheduleRetry push_back meanwhile may have
+      // reallocated retryQueue_ under `next`. Re-scan after the wait: a
+      // later-armed retry may be due earlier.
+      const auto due = next->due;
+      retryCv_.wait_until(lock, due);
       continue;
     }
     PendingRetry entry = std::move(*next);

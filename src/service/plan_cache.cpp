@@ -81,23 +81,17 @@ std::string planSignature(const graph::Graph& query,
   appendAttrs(sig, query.attrs());
   appendString(sig, edgeConstraint);
   appendString(sig, nodeConstraint);
-  // Plan-relevant options only: staticOrdering shapes the Lemma-1 order,
-  // maxFilterEntries decides whether the build overflows, bitsetMode decides
-  // which cells carry bit rows (identical candidate sets, but a requester
-  // must get the representation it asked for). Seeds, budgets and thread
-  // counts do not touch plan content and must not split the cache.
-  sig += options.staticOrdering ? 'S' : 's';
+  // Plan-relevant options only: Ordering::Declared skips the Lemma-1 sort
+  // of the plan's node order (every other ordering shares the sorted plan
+  // and resolves at search time), maxFilterEntries decides whether the
+  // build overflows, bitsetMode decides which cells carry bit rows
+  // (identical candidate sets, but a requester must get the representation
+  // it asked for). Seeds, budgets and thread counts do not touch plan
+  // content and must not split the cache.
+  sig += options.ordering == core::Ordering::Declared ? 's' : 'S';
   sig += std::to_string(options.maxFilterEntries);
   sig += 'b';
   sig += std::to_string(static_cast<unsigned>(options.bitsetMode));
-  // Shards partition the matrix (occupancy summaries, per-shard patch
-  // classification), so requesters with different shard counts must not
-  // share a plan. Omitted for the default single-shard model to keep
-  // historical signatures stable.
-  if (options.shards != 1) {
-    sig += 'h';
-    sig += std::to_string(options.shards);
-  }
   return sig;
 }
 

@@ -37,7 +37,7 @@ namespace netembed::service {
 
 /// Deterministic plan signature: serializes the query structure, node/edge
 /// attributes, constraint sources, and the plan-relevant options
-/// (staticOrdering, maxFilterEntries). Two requests share a stage-1 plan iff
+/// (ordering Declared or not, maxFilterEntries, bitsetMode). Two requests share a stage-1 plan iff
 /// their signatures match; using the full serialization (not a hash) as the
 /// cache key makes collisions impossible.
 [[nodiscard]] std::string planSignature(const graph::Graph& query,

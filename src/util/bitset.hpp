@@ -154,65 +154,6 @@ class Bitset {
   bool andWith(const Bitset& other) noexcept { return andWith(other.words()); }
   void andNotWith(const Bitset& other) noexcept { andNotWith(other.words()); }
 
-  // --- shard-range variants --------------------------------------------------
-  // Operate on the absolute word subrange [beginWord, endWord) only; words
-  // outside the range are left untouched (callers — the sharded search path —
-  // track which ranges hold live data and never read the rest). Bit indices
-  // reported by forEachSetInRange are absolute, as everywhere else.
-
-  /// this[b..e) &= row[b..e). Returns true when any bit survives in range.
-  bool andWithRange(std::span<const std::uint64_t> row, std::size_t beginWord,
-                    std::size_t endWord) noexcept {
-    assert(row.size() == words_.size() && endWord <= words_.size());
-    return simd::andIntoRange(words_.data(), row.data(), beginWord, endWord) != 0;
-  }
-
-  /// this[b..e) = a[b..e) & ~b_[b..e).
-  void assignAndNotRange(std::span<const std::uint64_t> a, const Bitset& b,
-                         std::size_t beginWord, std::size_t endWord) noexcept {
-    assert(a.size() == words_.size() && b.wordCount() == words_.size() &&
-           endWord <= words_.size());
-    simd::copyAndNotRange(words_.data(), a.data(), b.words().data(), beginWord,
-                          endWord);
-  }
-
-  /// this[b..e) = a[b..e) & b_[b..e) & ~c[b..e); true when any bit survives.
-  bool assignAndAndNotRange(std::span<const std::uint64_t> a,
-                            std::span<const std::uint64_t> b, const Bitset& c,
-                            std::size_t beginWord, std::size_t endWord) noexcept {
-    assert(a.size() == words_.size() && b.size() == words_.size() &&
-           c.wordCount() == words_.size() && endWord <= words_.size());
-    return simd::copyAndAndNotRange(words_.data(), a.data(), b.data(),
-                                    c.words().data(), beginWord, endWord) != 0;
-  }
-
-  /// this[b..e) &= row[b..e), returning the in-range popcount.
-  std::size_t andWithCountRange(std::span<const std::uint64_t> row,
-                                std::size_t beginWord, std::size_t endWord) noexcept {
-    assert(row.size() == words_.size() && endWord <= words_.size());
-    return simd::andIntoPopcountRange(words_.data(), row.data(), beginWord, endWord);
-  }
-
-  /// Zero words [b, e).
-  void clearRange(std::size_t beginWord, std::size_t endWord) noexcept {
-    assert(endWord <= words_.size());
-    for (std::size_t w = beginWord; w < endWord; ++w) words_[w] = 0;
-  }
-
-  /// Invoke `fn(absoluteIndex)` for every set bit in words [b, e), ascending.
-  template <typename Fn>
-  void forEachSetInRange(std::size_t beginWord, std::size_t endWord, Fn&& fn) const {
-    assert(endWord <= words_.size());
-    for (std::size_t w = beginWord; w < endWord; ++w) {
-      std::uint64_t word = words_[w];
-      while (word != 0) {
-        const auto bit = static_cast<std::size_t>(std::countr_zero(word));
-        fn(w * kBitsPerWord + bit);
-        word &= word - 1;
-      }
-    }
-  }
-
   /// Invoke `fn(index)` for every set bit in ascending order.
   template <typename Fn>
   void forEachSet(Fn&& fn) const {

@@ -257,48 +257,6 @@ inline std::uint64_t orReduce(const std::uint64_t* w, std::size_t n) noexcept {
   return detail::orReduceScalar(w, n);
 }
 
-// --- range-restricted variants ----------------------------------------------
-// The sharded host model partitions rows into word-aligned shard ranges;
-// these run the same dispatched kernels on the [beginWord, endWord) subrange
-// only, so a per-depth intersection touches just the shards a partial
-// mapping can still reach. Word indices are absolute within the row, so
-// bit index = word * 64 + bit stays valid without re-basing.
-
-/// dst[b..e) &= src[b..e); returns the OR of the touched result words.
-inline std::uint64_t andIntoRange(std::uint64_t* dst, const std::uint64_t* src,
-                                  std::size_t beginWord, std::size_t endWord) noexcept {
-  return andInto(dst + beginWord, src + beginWord, endWord - beginWord);
-}
-
-/// dst[b..e) = a[b..e) & ~b_[b..e).
-inline void copyAndNotRange(std::uint64_t* dst, const std::uint64_t* a,
-                            const std::uint64_t* b, std::size_t beginWord,
-                            std::size_t endWord) noexcept {
-  copyAndNot(dst + beginWord, a + beginWord, b + beginWord, endWord - beginWord);
-}
-
-/// dst[b..e) = a[b..e) & b_[b..e) & ~c[b..e); returns the OR of the result.
-inline std::uint64_t copyAndAndNotRange(std::uint64_t* dst, const std::uint64_t* a,
-                                        const std::uint64_t* b, const std::uint64_t* c,
-                                        std::size_t beginWord,
-                                        std::size_t endWord) noexcept {
-  return copyAndAndNot(dst + beginWord, a + beginWord, b + beginWord, c + beginWord,
-                       endWord - beginWord);
-}
-
-/// dst[b..e) &= src[b..e); returns the popcount of the touched result words.
-inline std::size_t andIntoPopcountRange(std::uint64_t* dst, const std::uint64_t* src,
-                                        std::size_t beginWord,
-                                        std::size_t endWord) noexcept {
-  return andIntoPopcount(dst + beginWord, src + beginWord, endWord - beginWord);
-}
-
-/// Popcount of words [b, e).
-inline std::size_t popcountRange(const std::uint64_t* w, std::size_t beginWord,
-                                 std::size_t endWord) noexcept {
-  return popcount(w + beginWord, endWord - beginWord);
-}
-
 namespace detail {
 
 inline std::size_t andIntoPopcountScalar(std::uint64_t* dst, const std::uint64_t* src,

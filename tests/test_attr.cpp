@@ -135,7 +135,9 @@ TEST(AttrMap, IterationIsSortedById) {
   netembed::graph::AttrId prev = 0;
   bool first = true;
   for (const auto& [id, value] : m) {
-    if (!first) EXPECT_GT(id, prev);
+    if (!first) {
+      EXPECT_GT(id, prev);
+    }
     prev = id;
     first = false;
   }

@@ -143,7 +143,7 @@ TEST_P(CrossValidation, OrderingAblationPreservesCounts) {
   const Instance inst = makeInstance(GetParam() + 5000, true, false);
   const Problem problem(inst.query, inst.host, inst.constraints);
   SearchOptions noOrdering = storeAll();
-  noOrdering.staticOrdering = false;
+  noOrdering.ordering = core::Ordering::Declared;
   const EmbedResult with = core::ecfSearch(problem, storeAll());
   const EmbedResult without = core::ecfSearch(problem, noOrdering);
   EXPECT_EQ(with.solutionCount, without.solutionCount);

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "core/plan.hpp"
 #include "core/verify.hpp"
 #include "topo/regular.hpp"
 
@@ -207,9 +208,30 @@ TEST(Ecf, StaticOrderingOffStillCorrect) {
   const Graph query = topo::line(3);
   const Graph host = topo::ring(4);
   SearchOptions o = storeAll();
-  o.staticOrdering = false;
+  o.ordering = core::Ordering::Declared;
   const EmbedResult r = ecfSearch(Problem(query, host, kNone), o);
   EXPECT_EQ(r.solutionCount, 8u);
+}
+
+TEST(Ecf, DeclaredOrderingKeepsTheQueryOrder) {
+  // Path query in a longer path host: the middle query node needs degree 2,
+  // so it has the fewest candidates and the Lemma-1 sort moves it first.
+  const Graph query = topo::line(3);
+  const Graph host = topo::line(5);
+  const Problem problem(query, host, kNone);
+  SearchOptions declared = storeAll();
+  declared.ordering = core::Ordering::Declared;
+  const auto unsorted = core::FilterPlan::build(problem, declared);
+  const auto sorted = core::FilterPlan::build(problem, storeAll());
+  EXPECT_EQ(unsorted->order, (std::vector<graph::NodeId>{0, 1, 2}));
+  EXPECT_EQ(sorted->order.front(), 1u);
+  EXPECT_EQ(core::chooseOrdering(*unsorted, core::Ordering::Declared),
+            core::Ordering::Declared);
+  for (const auto& plan : {unsorted, sorted}) {
+    EXPECT_NE(core::chooseOrdering(*plan, core::Ordering::Auto),
+              core::Ordering::Declared);
+  }
+  EXPECT_EQ(ecfSearch(problem, declared).solutionCount, 6u);
 }
 
 TEST(Ecf, SingleNodeQuery) {

@@ -48,7 +48,7 @@ TEST(PlanSignature, StructureConstraintsAttrsAndPlanOptionsAllSplit) {
   EXPECT_NE(planSignature(edged, "c", "", {}), ref);           // edge attrs
 
   SearchOptions noOrdering;
-  noOrdering.staticOrdering = false;
+  noOrdering.ordering = core::Ordering::Declared;
   EXPECT_NE(planSignature(base, "c", "", noOrdering), ref);    // Lemma-1 order
 
   SearchOptions tinyBudget;
@@ -66,6 +66,7 @@ TEST(PlanSignature, SearchOnlyOptionsDoNotSplitTheCache) {
   b.rootSplitThreads = 4;
   b.storeLimit = 1;
   b.parallelFilterBuild = false;  // affects build speed, not plan content
+  b.ordering = core::Ordering::Dynamic;  // resolved at search time
   EXPECT_EQ(planSignature(q, "c", "", a), planSignature(q, "c", "", b));
 }
 

@@ -106,16 +106,51 @@ TEST(Service, PortfolioModeProvesInfeasibility) {
 }
 
 TEST(Service, AutoFirstMatchEscalatesToPortfolio) {
-  NetEmbedService svc(smallHost());
-  auto request = sampledRequest(svc.model().host(), 9);
+  // A sparse host and a tree query: neither is dense, so chooseAlgorithm
+  // predicts RWB and the service races the portfolio on a multi-core box.
+  // A decided race reports its winning engine, so a one-visit budget keeps
+  // every contender from deciding: the response then names the algorithm
+  // the service ran, Portfolio, where an un-escalated run names RWB.
+  trace::PlanetLabOptions o;
+  o.sites = 60;
+  o.clusters = 5;
+  o.deadSites = 0;
+  o.pairLossRate = 0.85;
+  o.seed = 4;
+  NetEmbedService svc(trace::synthesize(o));
+  const Graph& host = svc.model().host();
+  ASSERT_LE(host.density(), 0.2) << "test premise: a sparse host";
+  util::Rng rng(9);
+  auto sub = topo::sampleConnectedSubgraph(host, 6, 5, rng);
+  topo::widenDelayWindows(sub.graph, 0.1);
+  EmbedRequest request;
+  request.query = std::move(sub.graph);
+  request.edgeConstraint = topo::delayWindowConstraint();
+  request.options.maxSolutions = 1;
+  request.options.visitBudget = 1;
   ASSERT_FALSE(request.algorithm.has_value());
-  ASSERT_EQ(request.options.maxSolutions, 1u);
+  ASSERT_EQ(NetEmbedService::chooseAlgorithm(request.query, host, false),
+            Algorithm::RWB);
+  const auto response = svc.submit(request);
+  EXPECT_EQ(response.result.outcome, Outcome::Inconclusive);
+  EXPECT_EQ(response.algorithmUsed, std::thread::hardware_concurrency() > 1
+                                        ? Algorithm::Portfolio
+                                        : Algorithm::RWB);
+}
+
+TEST(Service, AutoFirstMatchKeepsLnsPickOnDenseHost) {
+  // The documented exception: on a dense host chooseAlgorithm predicts LNS
+  // for first match, and the service keeps that pick instead of racing the
+  // filtered engines into stage-1 builds.
+  NetEmbedService svc(smallHost());
+  const Graph& host = svc.model().host();
+  ASSERT_GT(host.density(), 0.2) << "test premise: a dense host";
+  const auto request = sampledRequest(host, 9);
+  ASSERT_EQ(NetEmbedService::chooseAlgorithm(request.query, host, false),
+            Algorithm::LNS);
   const auto response = svc.submit(request);
   ASSERT_TRUE(response.result.feasible());
-  if (std::thread::hardware_concurrency() > 1) {
-    EXPECT_NE(response.diagnostics.find("portfolio"), std::string::npos)
-        << response.diagnostics;
-  }
+  EXPECT_EQ(response.algorithmUsed, Algorithm::LNS);
 }
 
 TEST(Service, ExplicitBaselineAlgorithmsRun) {

@@ -1,9 +1,9 @@
-// The sharded host model: ShardMap partitioning, occupancy summaries, and
-// the differential contract — SearchOptions::shards is a pure performance
-// knob, so every shard count must produce byte-identical solution streams to
-// the flat single-shard build, across engines, bitset modes, orderings, and
-// the patch path. Suites are named Shard* so the TSan CI job can pick the
-// whole family up with one gtest filter.
+// The sharded filter build: ShardMap partitioning, ShardMap::forHost, and
+// the differential contract — the shard map changes how FilterMatrix::build
+// runs, never what it produces, so every partition must yield cells,
+// viable lists and viability rows byte-equal to the flat one-shard build.
+// The engines read nothing else. Suites are named Shard* so the TSan CI job
+// can pick the whole family up with one gtest filter.
 
 #include "core/shard.hpp"
 
@@ -14,11 +14,8 @@
 #include <vector>
 
 #include "core/ecf.hpp"
-#include "core/engine.hpp"
 #include "core/filter.hpp"
 #include "core/plan.hpp"
-#include "core/portfolio.hpp"
-#include "core/rwb.hpp"
 #include "service/model.hpp"
 #include "topo/hugehost.hpp"
 #include "topo/regular.hpp"
@@ -30,9 +27,9 @@
 namespace {
 
 using namespace netembed;
-using core::Algorithm;
+using core::BitsetMode;
 using core::EmbedResult;
-using core::FilterPlan;
+using core::FilterMatrix;
 using core::Outcome;
 using core::Problem;
 using core::SearchOptions;
@@ -70,9 +67,9 @@ TEST(ShardMapTest, ClampsToWordCountAndMaxShards) {
   // 100 nodes = 2 words: at most 2 shards no matter the request.
   EXPECT_EQ(ShardMap(100, 8).shardCount(), 2u);
   EXPECT_EQ(ShardMap(100, 64).shardCount(), 2u);
-  // 0 resolves to 1 at this layer (the hardware default is resolved above).
+  // A request of 0 resolves to 1.
   EXPECT_EQ(ShardMap(100, 0).shardCount(), 1u);
-  // Plenty of words: the kMaxShards cap (a live-shard set must fit a word).
+  // Plenty of words: the kMaxShards cap (a set of shards must fit a word).
   // 4096 nodes = 64 words splits exactly; 100352 nodes = 1568 words splits
   // into ceil(1568/64) = 25-word shards, resolving to 63 balanced shards.
   EXPECT_EQ(ShardMap(4096, 200).shardCount(), 64u);
@@ -93,7 +90,18 @@ TEST(ShardMapTest, OccupancyReportsExactlyTheNonZeroShards) {
   EXPECT_EQ(sm.occupancy(row.words()), 0b1001u);
   row.set(64);    // shard 1 boundary node
   EXPECT_EQ(sm.occupancy(row.words()), 0b1011u);
-  EXPECT_EQ(sm.fullMask(), 0b1111u);
+}
+
+TEST(ShardMapTest, ForHostSplitsFrom4096Nodes) {
+  // Below kMaxShards x 64 nodes the build stays flat; from there it takes
+  // the full kMaxShards split, balanced to whole words per shard.
+  EXPECT_EQ(ShardMap::forHost(0).shardCount(), 1u);
+  EXPECT_EQ(ShardMap::forHost(320).shardCount(), 1u);
+  EXPECT_EQ(ShardMap::forHost(4095).shardCount(), 1u);
+  EXPECT_EQ(ShardMap::forHost(4096).shardCount(), 64u);
+  // 100,352 nodes = 1,568 words: 25-word shards, 63 of them.
+  EXPECT_EQ(ShardMap::forHost(100352).shardCount(), 63u);
+  EXPECT_EQ(ShardMap::forHost(100352), ShardMap(100352, ShardMap::kMaxShards));
 }
 
 // --- differential helpers ----------------------------------------------------
@@ -145,112 +153,68 @@ Problem diffProblem(Graph& query, Graph& host, std::uint64_t seed) {
   return Problem(query, host, capConstraints());
 }
 
-SearchOptions capped(std::size_t shards, core::BitsetMode mode) {
-  SearchOptions o;
-  o.shards = shards;
-  o.bitsetMode = mode;
-  o.maxSolutions = 400;  // a deterministic stream prefix keeps runtime bounded
-  o.storeLimit = 400;
-  return o;
+/// Byte-equality of everything a search reads from the matrix: every
+/// cell's CSR lists and bit rows, the viable lists, the viability rows and
+/// the stage-0 node-level rows.
+void expectSameMatrix(const FilterMatrix& a, const FilterMatrix& b,
+                      const Graph& query) {
+  const auto same = [](auto x, auto y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end());
+  };
+  ASSERT_EQ(a.hostNodes(), b.hostNodes());
+  EXPECT_EQ(a.totalEntries(), b.totalEntries());
+  for (graph::NodeId v = 0; v < query.nodeCount(); ++v) {
+    EXPECT_TRUE(same(a.viable(v), b.viable(v))) << "v=" << v;
+    EXPECT_TRUE(same(a.viableBits(v), b.viableBits(v))) << "v=" << v;
+    EXPECT_TRUE(same(a.nodeOkBits(v), b.nodeOkBits(v))) << "v=" << v;
+    ASSERT_EQ(a.slots(v).size(), b.slots(v).size());
+    for (std::uint32_t s = 0; s < a.slots(v).size(); ++s) {
+      ASSERT_EQ(a.hasCandidateBits(v, s), b.hasCandidateBits(v, s));
+      for (graph::NodeId r = 0; r < a.hostNodes(); ++r) {
+        ASSERT_TRUE(same(a.candidates(v, s, r), b.candidates(v, s, r)))
+            << "v=" << v << " s=" << s << " r=" << r;
+        if (a.hasCandidateBits(v, s)) {
+          ASSERT_TRUE(same(a.candidateBits(v, s, r), b.candidateBits(v, s, r)))
+              << "v=" << v << " s=" << s << " r=" << r;
+        }
+      }
+    }
+  }
 }
 
-std::vector<core::Mapping> sortedMappings(EmbedResult result) {
-  std::sort(result.mappings.begin(), result.mappings.end());
-  return result.mappings;
-}
+// --- differential: the partition is invisible in the matrix ------------------
 
-// --- differential: shards are invisible in the results -----------------------
-
-TEST(ShardDifferential, SerialEcfStreamsByteIdenticalAcrossShardCounts) {
+TEST(ShardDifferential, BucketedBuildByteEqualToFlatBuild) {
+  // The flat reference builds serially; the sharded builds run their
+  // per-(query node, shard) and per-query-edge tasks on the pool, which
+  // makes this the TSan workload for the bucketed build too. Bucket
+  // skipping only drops pairs the per-pair node gate would reject before
+  // evaluating, so the constraint-eval count must match as well.
   Graph query, host;
   const Problem problem = diffProblem(query, host, 1);
-  for (const core::BitsetMode mode :
-       {core::BitsetMode::Off, core::BitsetMode::Auto, core::BitsetMode::Force}) {
-    const EmbedResult reference = core::ecfSearch(problem, capped(1, mode));
-    ASSERT_GT(reference.solutionCount, 0u);
+  for (const BitsetMode mode : {BitsetMode::Off, BitsetMode::Auto, BitsetMode::Force}) {
+    SearchOptions serial;
+    serial.bitsetMode = mode;
+    serial.parallelFilterBuild = false;
+    core::SearchStats flatStats;
+    const FilterMatrix flat =
+        FilterMatrix::build(problem, serial, ShardMap(host.nodeCount(), 1), flatStats);
+    ASSERT_GT(flat.totalEntries(), 0u);
+    ASSERT_EQ(flat.hasCandidateBits(0, 0), mode != BitsetMode::Off);
     for (const std::size_t shards : {2ul, 3ul, 5ul}) {
-      const EmbedResult r = core::ecfSearch(problem, capped(shards, mode));
-      EXPECT_EQ(r.outcome, reference.outcome);
-      EXPECT_EQ(r.solutionCount, reference.solutionCount);
-      // Ordered, not sorted: the enumeration order itself must match.
-      EXPECT_EQ(r.mappings, reference.mappings)
-          << "shards=" << shards << " mode=" << static_cast<int>(mode);
+      SCOPED_TRACE(testing::Message() << "shards=" << shards
+                                      << " mode=" << static_cast<int>(mode));
+      SearchOptions parallel;
+      parallel.bitsetMode = mode;
+      core::SearchStats stats;
+      const ShardMap map(host.nodeCount(), shards);
+      ASSERT_EQ(map.shardCount(), shards);
+      const FilterMatrix fm = FilterMatrix::build(problem, parallel, map, stats);
+      EXPECT_EQ(fm.shardMap(), map);
+      EXPECT_EQ(stats.constraintEvals, flatStats.constraintEvals);
+      expectSameMatrix(fm, flat, query);
     }
   }
-}
-
-TEST(ShardDifferential, DynamicOrderingStreamsIdenticalAcrossShardCounts) {
-  // Exercises the DomainTracker's live-shard mask maintenance: the sharded
-  // range-restricted narrowing must reproduce the flat visit order exactly.
-  Graph query, host;
-  const Problem problem = diffProblem(query, host, 2);
-  for (const core::BitsetMode mode :
-       {core::BitsetMode::Off, core::BitsetMode::Force}) {
-    SearchOptions flat = capped(1, mode);
-    flat.ordering = core::Ordering::Dynamic;
-    const EmbedResult reference = core::ecfSearch(problem, flat);
-    ASSERT_GT(reference.solutionCount, 0u);
-    for (const std::size_t shards : {3ul, 5ul}) {
-      SearchOptions o = capped(shards, mode);
-      o.ordering = core::Ordering::Dynamic;
-      const EmbedResult r = core::ecfSearch(problem, o);
-      EXPECT_EQ(r.solutionCount, reference.solutionCount);
-      EXPECT_EQ(r.mappings, reference.mappings)
-          << "shards=" << shards << " mode=" << static_cast<int>(mode);
-    }
-  }
-}
-
-TEST(ShardDifferential, RwbSeededWalkIdenticalAcrossShardCounts) {
-  // RWB shuffles the candidate buffer: identical pre-shuffle candidate order
-  // plus the same seed means the walk must be identical. RWB is exhaustive,
-  // so a 0-solution instance is genuinely infeasible — skip to the next seed
-  // until the walk has something to find.
-  Graph query, host;
-  for (std::uint64_t instanceSeed = 3; instanceSeed < 23; ++instanceSeed) {
-    const Problem problem = diffProblem(query, host, instanceSeed);
-    SearchOptions flat = capped(1, core::BitsetMode::Auto);
-    flat.maxSolutions = 1;
-    flat.storeLimit = 1;
-    flat.seed = 9;
-    const EmbedResult reference = core::rwbSearch(problem, flat);
-    if (reference.solutionCount == 0) continue;
-    for (const std::size_t shards : {2ul, 5ul}) {
-      SearchOptions o = flat;
-      o.shards = shards;
-      const EmbedResult r = core::rwbSearch(problem, o);
-      ASSERT_EQ(r.solutionCount, 1u) << "shards=" << shards;
-      EXPECT_EQ(r.mappings, reference.mappings) << "shards=" << shards;
-    }
-    return;
-  }
-  FAIL() << "no feasible differential instance within 20 seeds";
-}
-
-TEST(ShardDifferential, RootSplitParallelBuildMatchesSerialFlat) {
-  // The TSan workload: parallel stage-0 shard tasks + per-worker search
-  // threads over one shared sharded plan.
-  Graph query, host;
-  const Problem problem = diffProblem(query, host, 4);
-  const EmbedResult reference =
-      core::ecfSearch(problem, capped(1, core::BitsetMode::Auto));
-  ASSERT_GT(reference.solutionCount, 0u);
-  SearchOptions o = capped(5, core::BitsetMode::Auto);
-  o.rootSplitThreads = 4;
-  o.parallelFilterBuild = true;
-  const EmbedResult r = core::ecfSearch(problem, o);
-  EXPECT_EQ(r.solutionCount, reference.solutionCount);
-  EXPECT_EQ(sortedMappings(r), sortedMappings(reference));
-}
-
-TEST(ShardDifferential, PortfolioCountMatchesFlatEcf) {
-  Graph query, host;
-  const Problem problem = diffProblem(query, host, 5);
-  const EmbedResult reference =
-      core::ecfSearch(problem, capped(1, core::BitsetMode::Auto));
-  const core::PortfolioResult race =
-      core::portfolioSearch(problem, capped(5, core::BitsetMode::Auto));
-  EXPECT_EQ(race.result.solutionCount, reference.solutionCount);
 }
 
 // --- shard seams -------------------------------------------------------------
@@ -280,18 +244,27 @@ TEST(ShardSeam, BoundaryStraddlingCandidatesSurviveBucketedBuild) {
         [&](const core::Mapping& m) { return straddles(m, boundary); }))
         << "test premise: solutions must straddle node " << boundary;
   }
+  core::SearchStats flatStats;
+  const FilterMatrix flatMatrix =
+      FilterMatrix::build(problem, flat, ShardMap(256, 1), flatStats);
   for (const std::size_t shards : {2ul, 4ul}) {
-    SearchOptions o = flat;
-    o.shards = shards;
-    const EmbedResult r = core::ecfSearch(problem, o);
-    EXPECT_EQ(r.solutionCount, reference.solutionCount);
-    EXPECT_EQ(r.mappings, reference.mappings) << "shards=" << shards;
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    core::SearchStats stats;
+    const FilterMatrix fm = FilterMatrix::build(problem, flat, ShardMap(256, shards), stats);
+    ASSERT_EQ(fm.shardMap().shardCount(), shards);
+    // Query node 1 (the path's middle) at host 63 must still reach 64.
+    const auto cell = fm.candidates(1, 0, 63);
+    const auto other = fm.candidates(1, 1, 63);
+    EXPECT_TRUE(std::find(cell.begin(), cell.end(), 64u) != cell.end() ||
+                std::find(other.begin(), other.end(), 64u) != other.end());
+    expectSameMatrix(fm, flatMatrix, query);
   }
 }
 
 TEST(ShardSeam, ZeroViableShardIsMaskedOutAndHarmless) {
   // Zone the host: only nodes < 64 (shard 0 of 4) match the query's zone, so
-  // shards 1..3 have zero viable occupancy for every query node.
+  // shards 1..3 have zero viable occupancy for every query node and every
+  // bucket touching them is skipped.
   Graph host = topo::line(256);
   for (graph::NodeId n = 0; n < host.nodeCount(); ++n) {
     host.nodeAttrs(n).set("zone", static_cast<std::int64_t>(n < 64 ? 0 : 1));
@@ -304,57 +277,23 @@ TEST(ShardSeam, ZeroViableShardIsMaskedOutAndHarmless) {
       expr::ConstraintSet::parse("", "rNode.zone == vNode.zone");
   const Problem problem(query, host, constraints);
 
-  SearchOptions o;
-  o.shards = 4;
+  const ShardMap map(256, 4);
+  ASSERT_EQ(map.shardCount(), 4u);
   core::SearchStats stats;
-  const auto fm = core::FilterMatrix::build(problem, o, stats);
-  ASSERT_TRUE(fm.sharded());
-  ASSERT_EQ(fm.shardMap().shardCount(), 4u);
+  const FilterMatrix fm = FilterMatrix::build(problem, SearchOptions{}, map, stats);
   for (graph::NodeId v = 0; v < query.nodeCount(); ++v) {
-    EXPECT_EQ(fm.viableShardMask(v), 0b0001u) << "v=" << v;
+    EXPECT_EQ(map.occupancy(fm.nodeOkBits(v)), 0b0001u) << "v=" << v;
+    EXPECT_EQ(map.occupancy(fm.viableBits(v)), 0b0001u) << "v=" << v;
   }
-
-  SearchOptions flat;
-  flat.maxSolutions = 0;
-  flat.storeLimit = 100000;
-  const EmbedResult reference = core::ecfSearch(problem, flat);
-  ASSERT_GT(reference.solutionCount, 0u);
-  SearchOptions shardedRun = flat;
-  shardedRun.shards = 4;
-  const EmbedResult r = core::ecfSearch(problem, shardedRun);
-  EXPECT_EQ(r.solutionCount, reference.solutionCount);
-  EXPECT_EQ(r.mappings, reference.mappings);
+  core::SearchStats flatStats;
+  const FilterMatrix flat =
+      FilterMatrix::build(problem, SearchOptions{}, ShardMap(256, 1), flatStats);
+  EXPECT_EQ(stats.constraintEvals, flatStats.constraintEvals);
+  expectSameMatrix(fm, flat, query);
+  EXPECT_GT(core::ecfSearch(problem, SearchOptions{}).solutionCount, 0u);
 }
 
 // --- patch path --------------------------------------------------------------
-
-/// Structural equality through the public FilterMatrix surface, shard
-/// summaries included.
-void expectShardPlansIdentical(const FilterPlan& a, const FilterPlan& b,
-                               const Graph& query, const Graph& host) {
-  ASSERT_EQ(a.order, b.order);
-  EXPECT_EQ(a.filters.totalEntries(), b.filters.totalEntries());
-  ASSERT_EQ(a.filters.shardMap(), b.filters.shardMap());
-  for (graph::NodeId v = 0; v < query.nodeCount(); ++v) {
-    const auto va = a.filters.viable(v);
-    const auto vb = b.filters.viable(v);
-    ASSERT_TRUE(std::equal(va.begin(), va.end(), vb.begin(), vb.end())) << "v=" << v;
-    EXPECT_EQ(a.filters.viableShardMask(v), b.filters.viableShardMask(v));
-    ASSERT_EQ(a.filters.slots(v).size(), b.filters.slots(v).size());
-    for (std::uint32_t s = 0; s < a.filters.slots(v).size(); ++s) {
-      ASSERT_EQ(a.filters.hasCandidateBits(v, s), b.filters.hasCandidateBits(v, s));
-      for (graph::NodeId r = 0; r < host.nodeCount(); ++r) {
-        const auto ca = a.filters.candidates(v, s, r);
-        const auto cb = b.filters.candidates(v, s, r);
-        ASSERT_TRUE(std::equal(ca.begin(), ca.end(), cb.begin(), cb.end()))
-            << "v=" << v << " s=" << s << " r=" << r;
-        EXPECT_EQ(a.filters.candidateShardMask(v, s, r),
-                  b.filters.candidateShardMask(v, s, r))
-            << "v=" << v << " s=" << s << " r=" << r;
-      }
-    }
-  }
-}
 
 TEST(ShardPatch, MutationStraddlingShardBoundaryMatchesFreshBuild) {
   util::Rng rng(77);
@@ -364,17 +303,14 @@ TEST(ShardPatch, MutationStraddlingShardBoundaryMatchesFreshBuild) {
   attributeHost(host, rng);
   if (!host.findEdge(63, 64)) host.addEdge(63, 64);
   host.edgeAttrs(*host.findEdge(63, 64)).set("bw", 9.0);
-
-  SearchOptions options;
-  options.shards = 3;
-  options.maxSolutions = 0;
-  options.storeLimit = 100000;
+  const ShardMap map(host.nodeCount(), 3);
+  ASSERT_EQ(map.shardCount(), 3u);
 
   service::NetworkModel model{graph::Graph(host)};
   const Graph base = model.host();
-  const auto basePlan =
-      FilterPlan::build(Problem(query, base, capConstraints()), options);
-  ASSERT_TRUE(basePlan->filters.sharded());
+  core::SearchStats stats;
+  FilterMatrix patched = FilterMatrix::build(
+      Problem(query, base, capConstraints()), SearchOptions{}, map, stats);
 
   // The mutation touches the boundary edge 63-64 (charged to both shards by
   // the sharded classifier) and node 64 — the first node of shard 1.
@@ -385,9 +321,14 @@ TEST(ShardPatch, MutationStraddlingShardBoundaryMatchesFreshBuild) {
 
   const Graph mutated = model.host();
   const Problem problem(query, mutated, capConstraints());
-  const auto patched = FilterPlan::patch(*basePlan, problem, options, delta);
-  const auto fresh = FilterPlan::build(problem, options);
-  expectShardPlansIdentical(*patched, *fresh, query, mutated);
+  ASSERT_EQ(core::classifyDelta(problem, delta, map), core::DeltaImpact::Patchable);
+  patched.patch(problem, SearchOptions{}, delta, stats);
+  EXPECT_EQ(patched.shardMap(), map);
+  const FilterMatrix fresh = FilterMatrix::build(problem, SearchOptions{}, map, stats);
+  expectSameMatrix(patched, fresh, query);
+  const FilterMatrix flat =
+      FilterMatrix::build(problem, SearchOptions{}, ShardMap(host.nodeCount(), 1), stats);
+  expectSameMatrix(patched, flat, query);
 }
 
 TEST(ShardPatch, ShardScopedClassifierStillRebuildsOnSaturatedShard) {
@@ -474,8 +415,10 @@ TEST(ShardHugeHost, DeterministicPerSeedAndPodAligned) {
 }
 
 TEST(ShardHugeHost, PodAffinitySearchIdenticalShardedAndFlat) {
+  // 64 pods x 64 nodes = 4,096 nodes: the smallest host ShardMap::forHost
+  // splits, so the default build (and the search on top of it) is sharded.
   topo::HugeHostOptions o;
-  o.pods = 4;
+  o.pods = 64;
   o.podSize = 64;
   o.extraIntraFactor = 4.0;
   o.seed = 11;
@@ -501,16 +444,25 @@ TEST(ShardHugeHost, PodAffinitySearchIdenticalShardedAndFlat) {
   const expr::ConstraintSet constraints = expr::ConstraintSet::parse(
       topo::delayWindowConstraint(), "vNode.pod == rNode.pod");
   const Problem problem(query, host, constraints);
-  SearchOptions flat;
-  flat.maxSolutions = 400;
-  flat.storeLimit = 400;
-  const EmbedResult reference = core::ecfSearch(problem, flat);
-  ASSERT_GT(reference.solutionCount, 0u);
-  SearchOptions shardedRun = flat;
-  shardedRun.shards = 4;
-  const EmbedResult r = core::ecfSearch(problem, shardedRun);
-  EXPECT_EQ(r.solutionCount, reference.solutionCount);
-  EXPECT_EQ(r.mappings, reference.mappings);
+  SearchOptions options;
+  options.maxSolutions = 400;
+  options.storeLimit = 400;
+  core::SearchStats stats;
+  const FilterMatrix sharded = FilterMatrix::build(problem, options, stats);
+  ASSERT_EQ(sharded.shardMap().shardCount(), ShardMap::kMaxShards);
+  const FilterMatrix flat =
+      FilterMatrix::build(problem, options, ShardMap(host.nodeCount(), 1), stats);
+  expectSameMatrix(sharded, flat, query);
+  // The search reads only what was just compared, so its stream is the
+  // flat one; it must still find the pod-local embeddings.
+  const EmbedResult r = core::ecfSearch(problem, options);
+  EXPECT_GT(r.solutionCount, 0u);
+  for (const core::Mapping& m : r.mappings) {
+    for (graph::NodeId v = 0; v < m.size(); ++v) {
+      EXPECT_EQ(host.nodeAttrs(m[v]).get(podId)->asInt(),
+                query.nodeAttrs(v).get(podId)->asInt());
+    }
+  }
 }
 
 // --- fault injection ---------------------------------------------------------
@@ -527,24 +479,26 @@ TEST(ShardFault, ShardBuildFaultSurfacesFromShardedBuildsOnly) {
   const Problem problem = diffProblem(query, host, 6);
   {
     FaultGuard guard(5);
-    util::FaultInjector::instance().arm(util::faultsite::kShardBuild, {});
-    SearchOptions o;
-    o.shards = 5;
+    // One fire: the per-(query node, shard) tasks run concurrently, so an
+    // unlimited site could fire in several of them before the first throw
+    // cancels the rest.
+    util::FaultInjector::instance().arm(util::faultsite::kShardBuild,
+                                        {.maxFires = 1});
     core::SearchStats stats;
-    EXPECT_THROW((void)core::FilterMatrix::build(problem, o, stats),
+    EXPECT_THROW((void)FilterMatrix::build(problem, SearchOptions{},
+                                           ShardMap(host.nodeCount(), 5), stats),
                  util::InjectedFault);
-    // A flat build never reaches the per-shard probe site.
-    SearchOptions flat;
+    // A one-shard build — the default for this 320-node host — never
+    // reaches the per-shard probe site.
     core::SearchStats flatStats;
-    EXPECT_NO_THROW((void)core::FilterMatrix::build(problem, flat, flatStats));
+    EXPECT_NO_THROW((void)FilterMatrix::build(problem, SearchOptions{}, flatStats));
     EXPECT_EQ(util::FaultInjector::instance().fires(util::faultsite::kShardBuild),
               1u);
   }
   // Injection off: the sharded build runs clean again.
-  SearchOptions o;
-  o.shards = 5;
   core::SearchStats stats;
-  EXPECT_NO_THROW((void)core::FilterMatrix::build(problem, o, stats));
+  EXPECT_NO_THROW((void)FilterMatrix::build(problem, SearchOptions{},
+                                            ShardMap(host.nodeCount(), 5), stats));
 }
 
 }  // namespace

@@ -325,7 +325,12 @@ TEST(SimDriver, WallClockModeResolvesAllTickets) {
 
   sim::DriverOptions opt;
   opt.clock = sim::ClockMode::Wall;
-  opt.wallSpeedup = 200.0;
+  // The trace's mean hold is 120 ms; at 5x that is 24 ms of wall time, far
+  // above a request's service time even under sanitizers or a loaded box.
+  // At 200x (0.6 ms) every lifetime could lapse before its ticket resolved,
+  // and each departure would cancel its pending request, leaving nothing
+  // accepted.
+  opt.wallSpeedup = 5.0;
   opt.service.workers = 2;
   sim::Driver driver(host, opt);
   // finalize() enforces the accounting identity, so a clean return proves
