@@ -8,7 +8,7 @@
 //   serial_nocache  N x NetEmbedService::submit with the plan cache disabled
 //                   (the pre-PR behavior: one build per query)
 //   serial_cached   N x submit with the cache on (1 build, same thread)
-//   async_batch     N x AsyncNetEmbedService::submitAsync (1 build, and the
+//   async_batch     N x AsyncNetEmbedService::submit (1 build, and the
 //                   post-build searches overlap across scheduler workers)
 //
 // The build counter (core::filterPlanBuilds) verifies the sharing; the bench
@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
         std::vector<std::future<service::EmbedResponse>> futures;
         futures.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
-          futures.push_back(svc.submitAsync(request));
+          futures.push_back(svc.submit(request).takeFuture());
         }
         std::uint64_t feasible = 0;
         for (auto& future : futures) {

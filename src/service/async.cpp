@@ -185,7 +185,8 @@ void AsyncNetEmbedService::runAttempt(
   if (options_.control.propagateSlack && admitBy) {
     const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
         *admitBy - util::QosScheduler::Clock::now());
-    const auto budget = std::max(remaining, options_.control.minSlackBudget);
+    const auto budget =
+        std::max(remaining, Options::ControlPolicy::kMinSlackBudget);
     if (request.qos.computeBudget.count() == 0 ||
         budget < request.qos.computeBudget) {
       tightened = request;
@@ -199,15 +200,14 @@ void AsyncNetEmbedService::runAttempt(
     slot = std::make_shared<detail::PreemptSlot>();
     slot->priority = static_cast<int>(request.qos.priority);
     slot->started = util::QosScheduler::Clock::now();
+    slot->requeueOnPreempt = options_.control.requeuePreempted;
     std::lock_guard lock(slotsMutex_);
     runningSlots_[state.get()] = slot;
   }
 
   const detail::RunOutcome outcome = detail::runTicketedAttempt(
       state, *toRun, *snapshot->host, snapshot->version,
-      /*allowPortfolioEscalation=*/false, &planCache_, slot.get(),
-      options_.control.requeuePreempted,
-      /*allowRetry=*/request.qos.retry.maxAttempts > 1);
+      /*allowPortfolioEscalation=*/false, &planCache_, slot.get());
 
   if (slot) {
     std::lock_guard lock(slotsMutex_);
@@ -369,20 +369,6 @@ void AsyncNetEmbedService::maybePreemptFor(int priority) {
     victim->attempt.request_stop();
     preemptionsFired_.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-std::future<EmbedResponse> AsyncNetEmbedService::submitAsync(EmbedRequest request) {
-  return submit(std::move(request)).takeFuture();
-}
-
-void AsyncNetEmbedService::submitAsync(EmbedRequest request, Callback callback) {
-  TicketCallbacks callbacks;
-  callbacks.onComplete = [callback = std::move(callback)](
-                             const EmbedResponse& response,
-                             std::exception_ptr error) {
-    callback(response, error);
-  };
-  (void)submit(std::move(request), std::move(callbacks));
 }
 
 void AsyncNetEmbedService::registerInflight(

@@ -50,8 +50,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -97,7 +95,7 @@ struct AsyncServiceOptions {
     bool propagateSlack = false;
     /// Floor for the slack-derived budget (a request admitted exactly at its
     /// deadline still gets this much compute rather than zero).
-    std::chrono::milliseconds minSlackBudget{1};
+    static constexpr std::chrono::milliseconds kMinSlackBudget{1};
     /// When High-class work queues behind a full worker set, stop the
     /// longest-running strictly-lower-class search (its per-attempt stop
     /// token fires; the ticket resolves RequestStatus::Preempted with its
@@ -146,18 +144,6 @@ class AsyncNetEmbedService {
   /// whose future is already resolved with the terminal status.
   [[nodiscard]] SubmitTicket submit(EmbedRequest request,
                                     TicketCallbacks callbacks = {});
-
-  /// Legacy fire-and-collect form (a thin wrapper over submit): the future
-  /// carries the response, or the exception the search raised
-  /// (expr::SyntaxError, std::invalid_argument, ...).
-  [[nodiscard]] std::future<EmbedResponse> submitAsync(EmbedRequest request);
-
-  /// Legacy callback form (a thin wrapper over submit): exactly one of
-  /// (response, error) is meaningful — error is null on success. The
-  /// callback runs on the thread that resolved the request and must not
-  /// throw (a thrown exception is swallowed).
-  using Callback = std::function<void(EmbedResponse, std::exception_ptr)>;
-  void submitAsync(EmbedRequest request, Callback callback);
 
   /// Fair-share weight for a tenant's requests (default 1.0). Applies from
   /// the next dequeue.

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <deque>
 #include <optional>
 
 #include "expr/lexer.hpp"
-#include "util/fault.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -15,112 +13,6 @@ namespace netembed::service {
 namespace detail {
 
 namespace {
-
-/// Bounded hand-off between the search thread(s) admitting mappings and one
-/// per-ticket consumer thread delivering them to the user's onSolution. The
-/// point: a slow consumer must not park the scheduler worker that happens to
-/// be running this request's search (Block throttles only this request's
-/// *search*; DropOldest doesn't even do that). Single consumer => deliveries
-/// are sequential and in admission order, and closeAndJoin() guarantees the
-/// last delivery happens-before the ticket resolves.
-class SolutionBuffer {
- public:
-  SolutionBuffer(TicketState& state, std::size_t capacity,
-                 SolutionBufferPolicy policy)
-      : state_(state),
-        capacity_(std::max<std::size_t>(capacity, 1)),
-        policy_(policy),
-        consumer_([this] { consumerLoop(); }) {}
-
-  ~SolutionBuffer() { closeAndJoin(); }
-
-  /// Producer side (the engine's SolutionSink; may be called concurrently
-  /// under root split). Returns false once the consumer asked the search to
-  /// stop (user sink returned false).
-  bool push(const core::Mapping& mapping) {
-    std::unique_lock lock(mutex_);
-    if (policy_ == SolutionBufferPolicy::Block) {
-      spaceCv_.wait(lock, [&] {
-        return buffer_.size() < capacity_ || stopStream_ || closed_;
-      });
-    } else if (buffer_.size() >= capacity_) {
-      buffer_.pop_front();
-      state_.droppedSolutions.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (stopStream_ || closed_) return false;
-    buffer_.push_back(mapping);
-    itemsCv_.notify_one();
-    return true;
-  }
-
-  /// Flush the remaining buffer through onSolution and join the consumer.
-  /// Idempotent; must complete before the ticket resolves.
-  void closeAndJoin() {
-    {
-      std::lock_guard lock(mutex_);
-      closed_ = true;
-      itemsCv_.notify_all();
-      spaceCv_.notify_all();
-    }
-    if (consumer_.joinable()) consumer_.join();
-  }
-
- private:
-  void consumerLoop() {
-    std::unique_lock lock(mutex_);
-    for (;;) {
-      itemsCv_.wait(lock, [&] { return !buffer_.empty() || closed_; });
-      if (buffer_.empty()) return;  // closed and drained
-      if (stopStream_) {
-        // The user declined further solutions: whatever is still buffered
-        // will never be delivered — account it as dropped and stop.
-        state_.droppedSolutions.fetch_add(buffer_.size(),
-                                          std::memory_order_relaxed);
-        buffer_.clear();
-        spaceCv_.notify_all();
-        return;
-      }
-      core::Mapping mapping = std::move(buffer_.front());
-      buffer_.pop_front();
-      spaceCv_.notify_one();
-      lock.unlock();
-      state_.streamed.fetch_add(1, std::memory_order_relaxed);
-      bool keepGoing = true;
-      const core::SolutionSink& user = state_.callbacks.onSolution;
-      if (user) {
-        try {
-          // Slow/throwing-consumer probe, inside the try: an injected
-          // consumer fault takes the same counted stop path a real one does.
-          if (util::FaultInjector::enabled()) {
-            util::faultPoint(util::faultsite::kTicketConsumer);
-          }
-          keepGoing = user(mapping);
-        } catch (...) {
-          // SolutionSink is not supposed to throw; count it (sinkErrors) and
-          // treat it as "stop" — the search continues, streaming ends.
-          state_.sinkErrors.fetch_add(1, std::memory_order_relaxed);
-          keepGoing = false;
-        }
-      }
-      lock.lock();
-      if (!keepGoing) {
-        stopStream_ = true;  // producers see false from the next push
-        spaceCv_.notify_all();
-      }
-    }
-  }
-
-  TicketState& state_;
-  const std::size_t capacity_;
-  const SolutionBufferPolicy policy_;
-  std::mutex mutex_;
-  std::condition_variable itemsCv_;  // consumer: "a mapping is buffered"
-  std::condition_variable spaceCv_;  // Block producers: "a slot freed up"
-  std::deque<core::Mapping> buffer_;
-  bool closed_ = false;      // no more pushes; drain and exit
-  bool stopStream_ = false;  // user sink said stop; pushes return false
-  std::thread consumer_;
-};
 
 /// Claim the single resolution. nullopt when someone else already resolved;
 /// otherwise whether a ticket cancel had been requested at the moment the
@@ -247,8 +139,9 @@ void resolveDropped(TicketState& state, RequestStatus status,
 bool cancelTicket(TicketState& state) {
   // Stop first: if the request is mid-search (or mid-filter-build) the
   // SearchContext's external token picks this up at the next cooperative
-  // poll, and if it is dequeued concurrently with the cancel, runTicketed's
-  // pre-dispatch check resolves it Cancelled without running the engine.
+  // poll, and if it is dequeued concurrently with the cancel,
+  // runTicketedAttempt's pre-dispatch check resolves it Cancelled without
+  // running the engine.
   state.stop.request_stop();
   std::function<bool()> tryDequeue;
   {
@@ -266,21 +159,11 @@ bool cancelTicket(TicketState& state) {
   return true;
 }
 
-void runTicketed(const std::shared_ptr<TicketState>& state,
-                 const EmbedRequest& request, const graph::Graph& host,
-                 std::uint64_t version, bool allowPortfolioEscalation,
-                 FilterPlanCache* cache) {
-  (void)runTicketedAttempt(state, request, host, version,
-                           allowPortfolioEscalation, cache, /*slot=*/nullptr,
-                           /*requeueOnPreempt=*/false);
-}
-
 RunOutcome runTicketedAttempt(const std::shared_ptr<TicketState>& state,
                               const EmbedRequest& request,
                               const graph::Graph& host, std::uint64_t version,
                               bool allowPortfolioEscalation,
-                              FilterPlanCache* cache, PreemptSlot* slot,
-                              bool requeueOnPreempt, bool allowRetry) {
+                              FilterPlanCache* cache, PreemptSlot* slot) {
   if (state->stop.stop_requested()) {
     // Cancelled between admission and dispatch (the fix for the leaked
     // never-satisfied promise): resolve instead of running.
@@ -288,7 +171,7 @@ RunOutcome runTicketedAttempt(const std::shared_ptr<TicketState>& state,
                    "cancelled before dispatch");
     return RunOutcome::Resolved;
   }
-  const bool retryEnabled = allowRetry && request.qos.retry.maxAttempts > 1;
+  const bool retryEnabled = request.qos.retry.maxAttempts > 1;
   const std::uint32_t attempt =
       state->attempts.fetch_add(1, std::memory_order_relaxed) + 1;
   const std::size_t maxSolutions = request.options.maxSolutions;
@@ -338,36 +221,23 @@ RunOutcome runTicketedAttempt(const std::shared_ptr<TicketState>& state,
     token = slot->attempt.get_token();
   }
 
-  // The streaming hook: every admitted solution flows out while the search
-  // runs — inline from the search thread (historical default), or through a
-  // bounded buffer + consumer thread when the ticket asked for backpressure
-  // decoupling. The inline wrapper counts even without a user callback so
-  // solutionsStreamed() always reports admissions.
-  std::optional<SolutionBuffer> buffer;
-  core::SolutionSink deliver;
-  if (state->callbacks.solutionBufferCapacity > 0) {
-    buffer.emplace(*state, state->callbacks.solutionBufferCapacity,
-                   state->callbacks.solutionBufferPolicy);
-    SolutionBuffer* buf = &*buffer;
-    deliver = [buf](const core::Mapping& mapping) {
-      return buf->push(mapping);
-    };
-  } else {
-    deliver = [state](const core::Mapping& mapping) {
-      state->streamed.fetch_add(1, std::memory_order_relaxed);
-      const core::SolutionSink& user = state->callbacks.onSolution;
-      if (!user) return true;
-      try {
-        return user(mapping);
-      } catch (...) {
-        // Inline sink throw: counted, then propagated into the search — the
-        // attempt fails (and may retry; the admission stays carried, so the
-        // mapping is not re-delivered).
-        state->sinkErrors.fetch_add(1, std::memory_order_relaxed);
-        throw;
-      }
-    };
-  }
+  // The streaming hook: every admitted solution flows out inline from the
+  // search thread while the search runs. The wrapper counts even without a
+  // user callback so solutionsStreamed() always reports admissions.
+  const core::SolutionSink deliver = [state](const core::Mapping& mapping) {
+    state->streamed.fetch_add(1, std::memory_order_relaxed);
+    const core::SolutionSink& user = state->callbacks.onSolution;
+    if (!user) return true;
+    try {
+      return user(mapping);
+    } catch (...) {
+      // Sink throw: counted, then propagated into the search — the attempt
+      // fails (and may retry; the admission stays carried, so the mapping
+      // is not re-delivered).
+      state->sinkErrors.fetch_add(1, std::memory_order_relaxed);
+      throw;
+    }
+  };
   core::SolutionSink sink = deliver;
   if (retryEnabled) {
     // Retry bookkeeping wrapper: record every admission into the carry, and
@@ -399,14 +269,12 @@ RunOutcome runTicketedAttempt(const std::shared_ptr<TicketState>& state,
   try {
     EmbedResponse response = detail::executeEmbed(
         request, host, version, allowPortfolioEscalation, cache, sink, token);
-    // Every buffered delivery happens-before the resolution below.
-    if (buffer) buffer->closeAndJoin();
     response.attempts = attempt;
     const bool preempted = slot &&
                            slot->preempted.load(std::memory_order_acquire) &&
                            !state->stop.stop_requested();
     if (preempted && response.result.outcome != core::Outcome::Complete) {
-      if (requeueOnPreempt) {
+      if (slot->requeueOnPreempt) {
         // Hand the unresolved ticket back for re-admission: from the
         // holder's perspective it simply went back to waiting in the queue.
         state->status.store(RequestStatus::Queued, std::memory_order_release);
@@ -421,7 +289,6 @@ RunOutcome runTicketedAttempt(const std::shared_ptr<TicketState>& state,
     // completion — outcome Complete — resolves Done: the work is whole.)
     resolveResponse(*state, std::move(response));
   } catch (...) {
-    if (buffer) buffer->closeAndJoin();
     const std::exception_ptr error = std::current_exception();
     bool alreadyResolved;
     {
@@ -462,11 +329,6 @@ bool SubmitTicket::cancel() {
 std::uint64_t SubmitTicket::solutionsStreamed() const noexcept {
   if (!state_) return 0;
   return state_->streamed.load(std::memory_order_relaxed);
-}
-
-std::uint64_t SubmitTicket::solutionsDropped() const noexcept {
-  if (!state_) return 0;
-  return state_->droppedSolutions.load(std::memory_order_relaxed);
 }
 
 std::uint32_t SubmitTicket::attempts() const noexcept {
@@ -518,21 +380,22 @@ SubmitTicket NetEmbedService::submitTicketed(EmbedRequest request,
         // SearchContext's external token.
         std::stop_callback chain(st, [&state] { state->stop.request_stop(); });
         // The runner doubles as the retry loop: a transient failure with
-        // attempts left (QoS::retry) sleeps out its backoff — stop-aware, in
-        // slices — and dispatches the next attempt on this same thread.
+        // attempts left (QoS::retry) waits out its backoff on this thread —
+        // woken early by any stop, the jthread's included through the chain
+        // above — and dispatches the next attempt here.
+        std::mutex backoffMutex;
+        std::condition_variable_any backoffCv;
         for (;;) {
           const detail::RunOutcome outcome = detail::runTicketedAttempt(
               state, request, *host, version,
-              /*allowPortfolioEscalation=*/true, &planCache_, /*slot=*/nullptr,
-              /*requeueOnPreempt=*/false, /*allowRetry=*/true);
+              /*allowPortfolioEscalation=*/true, &planCache_, /*slot=*/nullptr);
           if (outcome != detail::RunOutcome::RetryTransient) break;
           const auto backoff = detail::nextRetryBackoff(
               request.qos.retry, version ^ request.qos.tenant, *state);
           const auto wakeAt = std::chrono::steady_clock::now() + backoff;
-          while (std::chrono::steady_clock::now() < wakeAt &&
-                 !st.stop_requested() && !state->stop.stop_requested()) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          }
+          std::unique_lock lock(backoffMutex);
+          (void)backoffCv.wait_until(lock, state->stop.get_token(), wakeAt,
+                                     [] { return false; });
           // A cancel during the backoff resolves at the next attempt's
           // pre-dispatch check.
         }

@@ -29,28 +29,15 @@
 
 namespace netembed::service {
 
-/// What a *buffered* onSolution does when its bounded buffer is full (see
-/// TicketCallbacks::solutionBufferCapacity).
-enum class SolutionBufferPolicy : std::uint8_t {
-  /// The search worker waits for the consumer to free a slot (lossless; a
-  /// slow consumer throttles only its own search, never a scheduler worker
-  /// running someone else's).
-  Block,
-  /// Evict the oldest undelivered mapping to admit the new one (lossy;
-  /// counted in SubmitTicket::solutionsDropped). The search never stalls.
-  DropOldest,
-};
-
 struct TicketCallbacks {
   /// Invoked for every feasible mapping the moment SearchContext admits it
   /// (before the search finishes). The core SolutionSink contract applies:
   /// with root-split or portfolio parallelism it may fire concurrently;
   /// return false to stop the search (terminal result is then Partial).
-  /// Throwing is off-contract but accounted (SubmitTicket::sinkErrors):
-  /// inline (capacity 0) a throw propagates into the search and fails — or,
-  /// under QoS::retry, retries — the attempt; buffered, a throw stops
-  /// further deliveries for the attempt (like returning false) while the
-  /// search continues and the ticket resolves normally.
+  /// Delivered inline from the search thread, so a slow consumer slows its
+  /// own search. Throwing is off-contract but accounted
+  /// (SubmitTicket::sinkErrors): the throw propagates into the search and
+  /// fails — or, under QoS::retry, retries — the attempt.
   core::SolutionSink onSolution;
   /// Fired exactly once at terminal resolution, after the future is
   /// satisfied, on whichever thread resolved the request. Exactly one of
@@ -58,16 +45,6 @@ struct TicketCallbacks {
   /// threw (the response is then a placeholder with status Failed). Must
   /// not throw.
   std::function<void(const EmbedResponse&, std::exception_ptr)> onComplete;
-  /// 0 (the default) delivers onSolution inline from the search thread — the
-  /// historical behavior, where a slow consumer stalls the worker running
-  /// the search. > 0 decouples them: mappings land in a bounded buffer of
-  /// this capacity and a dedicated per-ticket consumer thread delivers them
-  /// in admission order (onSolution then never fires concurrently and always
-  /// before onComplete). solutionsStreamed() counts *deliveries*, so it lags
-  /// the search while the buffer drains.
-  std::size_t solutionBufferCapacity = 0;
-  /// Full-buffer behavior; meaningless when solutionBufferCapacity is 0.
-  SolutionBufferPolicy solutionBufferPolicy = SolutionBufferPolicy::Block;
 };
 
 namespace detail {
@@ -87,9 +64,6 @@ struct TicketState {
   std::stop_source stop;
   std::atomic<RequestStatus> status{RequestStatus::Queued};
   std::atomic<std::uint64_t> streamed{0};
-  /// Mappings a DropOldest solution buffer evicted undelivered (plus any
-  /// undelivered leftovers after the consumer asked the search to stop).
-  std::atomic<std::uint64_t> droppedSolutions{0};
   /// Attempts started (incremented at each dispatch; see QoS::retry).
   std::atomic<std::uint32_t> attempts{0};
   /// Times the user's onSolution sink threw (see SubmitTicket::sinkErrors).
@@ -130,6 +104,9 @@ struct PreemptSlot {
   std::atomic<bool> preempted{false};
   int priority = 0;
   std::chrono::steady_clock::time_point started{};
+  /// Hand a preempted ticket back unresolved for re-admission instead of
+  /// resolving it Preempted.
+  bool requeueOnPreempt = false;
 };
 
 /// How runTicketedAttempt left the ticket.
@@ -175,34 +152,26 @@ void resolveDropped(TicketState& state, RequestStatus status,
 /// SubmitTicket::cancel implementation (shared by both services).
 bool cancelTicket(TicketState& state);
 
-/// Execute one ticketed request end to end: honor a pre-dispatch cancel,
-/// mark Running, wire the streaming sink and the ticket's stop token into
-/// executeEmbed, and resolve the promise with the outcome.
-void runTicketed(const std::shared_ptr<TicketState>& state,
-                 const EmbedRequest& request, const graph::Graph& host,
-                 std::uint64_t version, bool allowPortfolioEscalation,
-                 FilterPlanCache* cache);
-
-/// runTicketed generalized to one preemptable attempt. With a non-null
-/// `slot`, the engine runs under the attempt's stop token (ticket stop
-/// chained in); a fired preemption resolves the response Preempted with its
-/// partial result — unless the search had already completed naturally
-/// (Done), the ticket was genuinely cancelled (Cancelled), or
-/// `requeueOnPreempt` asked to hand the unresolved ticket back for
-/// re-admission instead. Also implements the buffered-onSolution path (see
-/// TicketCallbacks::solutionBufferCapacity) for both entry points.
+/// Run one attempt of a ticketed request: honor a pre-dispatch cancel, mark
+/// Running, wire the streaming sink and the ticket's stop token into
+/// executeEmbed, and resolve the promise with the outcome — unless the
+/// caller has to act first (see RunOutcome). With a non-null `slot`, the
+/// engine runs under the attempt's stop token (ticket stop chained in); a
+/// fired preemption resolves the response Preempted with its partial result
+/// — unless the search had already completed naturally (Done), the ticket
+/// was genuinely cancelled (Cancelled), or slot->requeueOnPreempt asked to
+/// hand the unresolved ticket back for re-admission instead.
 ///
-/// `allowRetry` turns on QoS::retry semantics: a transient failure with
-/// attempts remaining returns RunOutcome::RetryTransient instead of
-/// resolving Failed, retries skip re-delivering solutions already streamed
+/// QoS::retry with maxAttempts > 1 turns on retry semantics: a transient
+/// failure with attempts remaining returns RunOutcome::RetryTransient instead
+/// of resolving Failed, retries skip re-delivering solutions already streamed
 /// by earlier attempts (exactly-once onSolution), and a retry whose carried
-/// admissions already cover maxSolutions resolves Done from the carry
-/// without re-searching.
+/// admissions already cover maxSolutions resolves Done from the carry without
+/// re-searching.
 [[nodiscard]] RunOutcome runTicketedAttempt(
     const std::shared_ptr<TicketState>& state, const EmbedRequest& request,
     const graph::Graph& host, std::uint64_t version,
-    bool allowPortfolioEscalation, FilterPlanCache* cache, PreemptSlot* slot,
-    bool requeueOnPreempt, bool allowRetry = false);
+    bool allowPortfolioEscalation, FilterPlanCache* cache, PreemptSlot* slot);
 
 }  // namespace detail
 
@@ -247,23 +216,15 @@ class SubmitTicket {
   EmbedResponse get() { return futureRef().get(); }
 
   /// Solutions streamed through onSolution so far (0 for invalid tickets).
-  /// With a buffered onSolution this counts deliveries, not admissions.
   [[nodiscard]] std::uint64_t solutionsStreamed() const noexcept;
-
-  /// Mappings evicted undelivered by a DropOldest solution buffer (0 for
-  /// invalid tickets and for inline / Block configurations).
-  [[nodiscard]] std::uint64_t solutionsDropped() const noexcept;
 
   /// Attempts dispatched so far (0 before the first dispatch; > 1 once
   /// transient failures were retried under QoS::retry — status() reads
   /// Retrying while a backoff is pending).
   [[nodiscard]] std::uint32_t attempts() const noexcept;
 
-  /// Times the onSolution sink threw (0 for invalid tickets). An *inline*
-  /// sink throw propagates into the search and fails (or retries) the
-  /// attempt; a *buffered* sink throw stops further streaming for the
-  /// attempt — the search continues and the ticket still resolves normally
-  /// (see TicketCallbacks::solutionBufferCapacity).
+  /// Times the onSolution sink threw (0 for invalid tickets). A sink throw
+  /// propagates into the search and fails (or retries) the attempt.
   [[nodiscard]] std::uint64_t sinkErrors() const noexcept;
 
   /// what() of the error behind a Failed resolution, captured at resolve

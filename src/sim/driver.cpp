@@ -299,6 +299,8 @@ void runWall(const Trace& trace, Replay& replay, const DriverOptions& opt) {
     service::EmbedRequest req;
     service::SubmitTicket ticket;
     Clock::time_point submitted;
+    /// A departure's cancel took hold of the still-unresolved request.
+    bool withdrawn = false;
   };
   std::unordered_map<std::uint64_t, Pending> pending;
   std::unordered_set<std::uint64_t> departed;
@@ -329,6 +331,12 @@ void runWall(const Trace& trace, Replay& replay, const DriverOptions& opt) {
           std::chrono::duration<double, std::milli>(Clock::now() - p.submitted)
               .count();
       metrics.onWaitSample(p.arrival.priority, waitWallMs * speedup);
+      // Only a withdrawal that resolved Cancelled counts: a search that
+      // throws against the cancel still resolves Failed.
+      if (p.withdrawn &&
+          p.ticket.status() == service::RequestStatus::Cancelled) {
+        metrics.onWithdrawnAtDeparture();
+      }
       replay.settle(p.arrival.id, p.arrival, p.req, std::move(resp), threw);
       // The embedding's lifetime may have ended while the ticket was still
       // in flight; give back whatever settle just reserved.
@@ -361,7 +369,7 @@ void runWall(const Trace& trace, Replay& replay, const DriverOptions& opt) {
           // Lifetime over before the embedding was placed: withdraw the
           // still-unresolved request.
           if (auto it = pending.find(e.id); it != pending.end()) {
-            it->second.ticket.cancel();
+            it->second.withdrawn = it->second.ticket.cancel();
           }
         }
         break;

@@ -95,6 +95,8 @@ void Metrics::onTerminalStatus(service::RequestStatus s) {
       service::requestStatusName(s) + "' reported to the scorecard");
 }
 
+void Metrics::onWithdrawnAtDeparture() { ++terminals_.withdrawnAtDeparture; }
+
 void Metrics::advanceTo(std::uint64_t tUs) {
   if (tUs <= cursorUs_) return;
   std::uint64_t t = std::min(cursorUs_, opt_.horizonUs);
@@ -131,6 +133,12 @@ Scorecard Metrics::finalize(std::string scenario, std::string config,
         "preempted+failed+cancelled = " +
         std::to_string(settled) + " but submitted = " +
         std::to_string(t.submitted));
+  }
+  if (t.withdrawnAtDeparture > t.cancelled) {
+    throw std::logic_error(
+        "sim::Metrics: withdrawn at departure = " +
+        std::to_string(t.withdrawnAtDeparture) + " exceeds cancelled = " +
+        std::to_string(t.cancelled));
   }
   if (accepted_ + rejectedNoSolution_ + rejectedCapacity_ + expiredVirtual_ >
       t.submitted) {
@@ -227,7 +235,9 @@ void Scorecard::writeJson(std::ostream& out, int indent) const {
       << ", \"expired\": " << terminals.expired
       << ", \"preempted\": " << terminals.preempted
       << ", \"failed\": " << terminals.failed
-      << ", \"cancelled\": " << terminals.cancelled << "},\n";
+      << ", \"cancelled\": " << terminals.cancelled
+      << ", \"withdrawn_at_departure\": " << terminals.withdrawnAtDeparture
+      << "},\n";
   out << p1 << "\"accepted\": " << accepted << ",\n";
   out << p1 << "\"rejected_no_solution\": " << rejectedNoSolution << ",\n";
   out << p1 << "\"rejected_capacity\": " << rejectedCapacity << ",\n";
@@ -286,7 +296,8 @@ void Scorecard::printTable(std::ostream& out) const {
   out << "  submitted " << terminals.submitted << "  accepted " << accepted
       << " (" << util::formatFixed(acceptanceRatio * 100.0, 1) << "%)"
       << "  reject[no-solution " << rejectedNoSolution << ", capacity "
-      << rejectedCapacity << "]  expired(virtual) " << expiredVirtual << "\n";
+      << rejectedCapacity << "]  expired(virtual) " << expiredVirtual
+      << "  withdrawn at departure " << terminals.withdrawnAtDeparture << "\n";
   out << "  revenue " << util::formatFixed(revenue, 2) << "  cost "
       << util::formatFixed(cost, 2) << "  R/C "
       << util::formatFixed(revenueCostRatio, 3) << "  cpu-util avg "

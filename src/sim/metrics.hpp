@@ -8,7 +8,8 @@
 // trace; finalize() freezes it into a Scorecard and *enforces the accounting
 // identity*: every submitted request must land in exactly one terminal
 // status (done + rejected + expired + preempted + failed + cancelled ==
-// submitted). A violation is a harness bug, not a data point, so it throws
+// submitted), and the withdrawals at departure must be among the cancelled.
+// A violation is a harness bug, not a data point, so it throws
 // std::logic_error instead of producing a plausible-looking report.
 //
 // Utilization is integrated in time (reserved capacity x duration) and
@@ -57,6 +58,10 @@ struct TerminalCounts {
   std::size_t preempted = 0;
   std::size_t failed = 0;
   std::size_t cancelled = 0;
+  /// Departures that withdrew a still-unresolved request (its ticket cancel
+  /// took hold and it resolved Cancelled): the embedding's lifetime lapsed
+  /// before service. A subset of `cancelled`, outside the identity.
+  std::size_t withdrawnAtDeparture = 0;
 };
 
 /// Control-plane churn over the run (service::ControlStats deltas plus
@@ -145,6 +150,9 @@ class Metrics {
   /// non-terminal status (Queued/Running/Retrying) — the driver must only
   /// report settled tickets.
   void onTerminalStatus(service::RequestStatus s);
+  /// A departure withdrew its unresolved request (see
+  /// TerminalCounts::withdrawnAtDeparture).
+  void onWithdrawnAtDeparture();
 
   // --- utilization timeline ------------------------------------------------
   /// Integrate the currently reserved capacity forward to tUs (monotonic).

@@ -4,11 +4,10 @@
 // NETEMBED's robustness story (retrying tickets, graceful degradation) is
 // only trustworthy if the failure paths are *testable*: this registry plants
 // named probe sites at the hot seams — thread-pool dispatch, stage-1 plan
-// build/patch, scheduler dequeue, the ticket solution consumer, the
-// per-visit engine poll — and fires faults on a seeded, reproducible
-// schedule. Inert by default: a disabled injector costs each probe one
-// relaxed atomic load and nothing else, so the probes stay compiled into
-// production paths.
+// build/patch, scheduler dequeue, the per-visit engine poll — and fires
+// faults on a seeded, reproducible schedule. Inert by default: a disabled
+// injector costs each probe one relaxed atomic load and nothing else, so the
+// probes stay compiled into production paths.
 //
 // Determinism: the decision for the N-th arrival at a site is a pure
 // function of (seed, site name, N). Two runs with the same seed, the same
@@ -56,8 +55,8 @@ struct FaultSpec {
   std::uint64_t skipFirst = 0;
   /// Total fires after which the site goes quiet. 0 = unlimited.
   std::uint64_t maxFires = 0;
-  /// Sleep served on every fire, before any throw: latency-spike and
-  /// slow-consumer simulation.
+  /// Sleep served on every fire, before any throw: latency-spike
+  /// simulation.
   std::chrono::milliseconds delay{0};
   /// Whether a throwing probe (faultPoint) actually throws on fire. False
   /// turns a throw-site into a pure delay fault.
@@ -140,9 +139,6 @@ inline constexpr const char* kPlanCancel = "plan.spurious_cancel";
 /// QosScheduler worker between dequeue and dispatch: delay-only
 /// (clock-skew / scheduling latency spike).
 inline constexpr const char* kQosDequeue = "qos.dequeue";
-/// The buffered-onSolution consumer, just before the user sink: slow
-/// (delay) and/or throwing consumer.
-inline constexpr const char* kTicketConsumer = "ticket.consumer";
 /// SearchContext::shouldStop — the one poll every engine runs per visited
 /// node: mid-search crash.
 inline constexpr const char* kEngineStep = "engine.step";

@@ -142,8 +142,7 @@ struct QosScheduler::Impl {
 
   void recordServiceLocked(int priority, double serviceMs) {
     ClassTrack& ct = classTrack[priority];
-    const double alpha =
-        std::clamp(options.control.ewmaAlpha, 1e-6, 1.0);
+    constexpr double alpha = ControlPolicy::kServiceEwmaAlpha;
     ct.serviceEwmaMs = ct.completed == 0
                            ? serviceMs
                            : alpha * serviceMs + (1.0 - alpha) * ct.serviceEwmaMs;
@@ -168,14 +167,14 @@ struct QosScheduler::Impl {
     const double targetMs = std::chrono::duration<double, std::milli>(
                                 options.control.targetQueueDelay)
                                 .count();
-    if (meanMs <= 0.0 || targetMs <= 0.0) return options.control.minCapacity;
+    if (meanMs <= 0.0 || targetMs <= 0.0) {
+      return ControlPolicy::kMinAdaptiveCapacity;
+    }
     const double derived =
         std::ceil(targetMs * static_cast<double>(workerCountHint) / meanMs);
-    const auto lo = static_cast<double>(std::max<std::size_t>(
-        options.control.minCapacity, 1));
-    const auto hi = static_cast<double>(
-        std::max<std::size_t>(options.control.maxCapacity, 1));
-    return static_cast<std::size_t>(std::clamp(derived, lo, std::max(lo, hi)));
+    return static_cast<std::size_t>(std::clamp(
+        derived, static_cast<double>(ControlPolicy::kMinAdaptiveCapacity),
+        static_cast<double>(ControlPolicy::kMaxAdaptiveCapacity)));
   }
 
   TenantState& tenant(std::uint64_t id) { return tenants[id]; }

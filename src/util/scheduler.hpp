@@ -67,19 +67,22 @@ class QosScheduler {
   /// Closed-loop admission control. Defaults reproduce the static behavior
   /// exactly: a fixed queueCapacity bound and no early shedding.
   struct ControlPolicy {
+    /// Per-class service-time EWMA smoothing factor in (0, 1].
+    static constexpr double kServiceEwmaAlpha = 0.2;
+    /// Clamp range of the adaptive capacity.
+    static constexpr std::size_t kMinAdaptiveCapacity = 2;
+    static constexpr std::size_t kMaxAdaptiveCapacity = 4096;
+
     /// Derive the effective queue capacity from observed service times:
     /// capacity = targetQueueDelay * workers / mean service time (the mean
     /// weighted over per-class EWMAs by completion count), clamped to
-    /// [minCapacity, maxCapacity]. Until the first completion the static
-    /// queueCapacity applies. Off = always the static bound.
+    /// [kMinAdaptiveCapacity, kMaxAdaptiveCapacity]. Until the first
+    /// completion the static queueCapacity applies. Off = always the static
+    /// bound.
     bool adaptiveCapacity = false;
     /// The queue delay the adaptive capacity aims to keep a newly admitted
     /// job under (Little's law inversion).
     std::chrono::milliseconds targetQueueDelay{250};
-    /// Per-class service-time EWMA smoothing factor in (0, 1].
-    double ewmaAlpha = 0.2;
-    std::size_t minCapacity = 2;
-    std::size_t maxCapacity = 4096;
     /// Under ShedLowestPriority only: when the queue depth reaches this
     /// fraction of the effective capacity, a newcomer ranking strictly below
     /// the highest queued class is shed immediately — reserving the

@@ -116,7 +116,7 @@ struct StreamGate {
 TEST(AsyncService, FutureResolvesWithFeasibleMapping) {
   AsyncNetEmbedService svc(asyncHost());
   EmbedRequest request = delayRequest(*svc.hostSnapshot(), 1);
-  auto future = svc.submitAsync(request);
+  auto future = svc.submit(request).takeFuture();
   const EmbedResponse response = resolve(future);
   ASSERT_TRUE(response.result.feasible());
   EXPECT_EQ(response.modelVersion, svc.version());
@@ -136,7 +136,7 @@ TEST(AsyncService, BatchOfIdenticalQueriesBuildsExactlyOnePlan) {
 
   const std::uint64_t buildsBefore = core::filterPlanBuilds();
   std::vector<std::future<EmbedResponse>> futures;
-  for (int i = 0; i < 8; ++i) futures.push_back(svc.submitAsync(request));
+  for (int i = 0; i < 8; ++i) futures.push_back(svc.submit(request).takeFuture());
   for (auto& future : futures) {
     const EmbedResponse response = resolve(future);
     EXPECT_TRUE(response.result.feasible());
@@ -157,13 +157,13 @@ TEST(AsyncService, VersionBumpRekeysCachedPlansInsteadOfInvalidating) {
 
   const std::uint64_t builds0 = core::filterPlanBuilds();
   const std::uint64_t patches0 = core::filterPlanPatches();
-  auto f1 = svc.submitAsync(request);
+  auto f1 = svc.submit(request).takeFuture();
   const EmbedResponse r1 = resolve(f1);
   ASSERT_TRUE(r1.result.feasible());
   EXPECT_EQ(core::filterPlanBuilds() - builds0, 1u);
 
   // Same signature again at the same version: pure cache hit, no build.
-  auto f2 = svc.submitAsync(request);
+  auto f2 = svc.submit(request).takeFuture();
   (void)resolve(f2);
   EXPECT_EQ(core::filterPlanBuilds() - builds0, 1u);
 
@@ -179,7 +179,7 @@ TEST(AsyncService, VersionBumpRekeysCachedPlansInsteadOfInvalidating) {
   const auto id = svc.reserve(reserveReq.query, r1.result.mappings.front(), spec);
   EXPECT_GT(svc.version(), r1.modelVersion);
 
-  auto f3 = svc.submitAsync(request);
+  auto f3 = svc.submit(request).takeFuture();
   const EmbedResponse r3 = resolve(f3);
   EXPECT_EQ(r3.modelVersion, svc.version());
   EXPECT_EQ(core::filterPlanBuilds() - builds0, 1u)
@@ -194,7 +194,7 @@ TEST(AsyncService, VersionBumpRekeysCachedPlansInsteadOfInvalidating) {
   const double floorDelay = host->edgeAttrs(0).getDouble("minDelay", 5.0);
   svc.setEdgeMetric(host->edgeSource(0), host->edgeTarget(0), "minDelay",
                     floorDelay * 1.01);
-  auto f4 = svc.submitAsync(request);
+  auto f4 = svc.submit(request).takeFuture();
   const EmbedResponse r4 = resolve(f4);
   EXPECT_EQ(r4.modelVersion, svc.version());
   EXPECT_EQ(core::filterPlanBuilds() - builds0, 1u);
@@ -206,11 +206,13 @@ TEST(AsyncService, VersionBumpRekeysCachedPlansInsteadOfInvalidating) {
 TEST(AsyncService, CallbackOverloadDeliversResponse) {
   AsyncNetEmbedService svc(asyncHost());
   std::promise<EmbedResponse> delivered;
-  svc.submitAsync(delayRequest(*svc.hostSnapshot(), 4),
-                  [&](EmbedResponse response, std::exception_ptr error) {
-                    EXPECT_FALSE(error);
-                    delivered.set_value(std::move(response));
-                  });
+  TicketCallbacks callbacks;
+  callbacks.onComplete = [&](const EmbedResponse& response,
+                             std::exception_ptr error) {
+    EXPECT_FALSE(error);
+    delivered.set_value(response);
+  };
+  (void)svc.submit(delayRequest(*svc.hostSnapshot(), 4), std::move(callbacks));
   auto future = delivered.get_future();
   const EmbedResponse response = resolve(future);
   EXPECT_TRUE(response.result.feasible());
@@ -222,9 +224,11 @@ TEST(AsyncService, CallbackOverloadDeliversErrors) {
   EmbedRequest bad = delayRequest(*svc.hostSnapshot(), 5);
   bad.edgeConstraint = "vEdge..broken";
   std::promise<std::exception_ptr> delivered;
-  svc.submitAsync(std::move(bad), [&](EmbedResponse, std::exception_ptr error) {
+  TicketCallbacks callbacks;
+  callbacks.onComplete = [&](const EmbedResponse&, std::exception_ptr error) {
     delivered.set_value(error);
-  });
+  };
+  (void)svc.submit(std::move(bad), std::move(callbacks));
   const std::exception_ptr error = delivered.get_future().get();
   ASSERT_TRUE(error);
   EXPECT_THROW(std::rethrow_exception(error), expr::SyntaxError);
@@ -234,7 +238,7 @@ TEST(AsyncService, SyntaxErrorPropagatesThroughFuture) {
   AsyncNetEmbedService svc(asyncHost());
   EmbedRequest bad = delayRequest(*svc.hostSnapshot(), 6);
   bad.edgeConstraint = "vEdge..broken";
-  auto future = svc.submitAsync(std::move(bad));
+  auto future = svc.submit(std::move(bad)).takeFuture();
   EXPECT_THROW((void)future.get(), expr::SyntaxError);
 }
 
@@ -245,14 +249,14 @@ TEST(AsyncService, QueuedRequestsDoNotEscalateToPortfolio) {
   EmbedRequest request = delayRequest(*svc.hostSnapshot(), 7);
   ASSERT_FALSE(request.algorithm.has_value());
   ASSERT_EQ(request.options.maxSolutions, 1u);
-  auto future = svc.submitAsync(request);
+  auto future = svc.submit(request).takeFuture();
   const EmbedResponse response = resolve(future);
   EXPECT_TRUE(response.result.feasible());
   EXPECT_EQ(response.diagnostics.find("portfolio"), std::string::npos)
       << response.diagnostics;
 
   request.algorithm = Algorithm::Portfolio;
-  auto raced = svc.submitAsync(request);
+  auto raced = svc.submit(request).takeFuture();
   const EmbedResponse racedResponse = resolve(raced);
   EXPECT_TRUE(racedResponse.result.feasible());
   EXPECT_NE(racedResponse.diagnostics.find("portfolio"), std::string::npos)
@@ -265,7 +269,7 @@ TEST(AsyncService, DrainResolvesEverythingAccepted) {
   AsyncNetEmbedService svc(asyncHost(), options);
   std::vector<std::future<EmbedResponse>> futures;
   for (int i = 0; i < 12; ++i) {
-    futures.push_back(svc.submitAsync(delayRequest(*svc.hostSnapshot(), 20 + i)));
+    futures.push_back(svc.submit(delayRequest(*svc.hostSnapshot(), 20 + i)).takeFuture());
   }
   svc.drain();
   EXPECT_EQ(svc.pendingRequests(), 0u);
@@ -280,7 +284,7 @@ TEST(AsyncService, DestructorDrainsInFlightRequests) {
   {
     AsyncNetEmbedService svc(asyncHost());
     for (int i = 0; i < 6; ++i) {
-      futures.push_back(svc.submitAsync(delayRequest(*svc.hostSnapshot(), 40 + i)));
+      futures.push_back(svc.submit(delayRequest(*svc.hostSnapshot(), 40 + i)).takeFuture());
     }
   }  // ~AsyncNetEmbedService drains the queue
   for (auto& future : futures) {
@@ -315,7 +319,7 @@ TEST(AsyncService, StressConcurrentSubmittersAndReservations) {
       for (graph::NodeId n = 0; n < request.query.nodeCount(); ++n) {
         request.query.nodeAttrs(n).set("slots", 1.0);
       }
-      auto future = svc.submitAsync(request);
+      auto future = svc.submit(request).takeFuture();
       const EmbedResponse response = resolve(future);
       if (!response.result.feasible()) continue;
       try {
@@ -341,7 +345,7 @@ TEST(AsyncService, StressConcurrentSubmittersAndReservations) {
         EmbedRequest request = delayRequest(
             *svc.hostSnapshot(), 200 + (t * kQueriesPerThread + i) % 5,
             i % 2 == 0 ? 1 : 4);
-        auto future = svc.submitAsync(request);
+        auto future = svc.submit(request).takeFuture();
         inflight.emplace_back(std::move(request), std::move(future));
       }
       for (auto& [request, future] : inflight) {
@@ -368,7 +372,7 @@ TEST(AsyncService, StressConcurrentSubmittersAndReservations) {
   const std::uint64_t finalVersion = svc.version();
   EXPECT_GE(finalVersion, v0 + 2 * reservationsMade.load());
   // Post-drain sanity: a fresh query runs against the final version.
-  auto future = svc.submitAsync(delayRequest(*svc.hostSnapshot(), 300));
+  auto future = svc.submit(delayRequest(*svc.hostSnapshot(), 300)).takeFuture();
   EXPECT_EQ(resolve(future).modelVersion, finalVersion);
 }
 
@@ -425,7 +429,7 @@ TEST(AsyncService, StressMutateWhileQueryKeepsPatchedPlansExact) {
         EmbedRequest request =
             delayRequest(*svc.hostSnapshot(), 400 + (t + i) % 3, 2);
         request.algorithm = Algorithm::ECF;
-        auto future = svc.submitAsync(std::move(request));
+        auto future = svc.submit(std::move(request)).takeFuture();
         const EmbedResponse response = resolve(future);
         resolved.fetch_add(1, std::memory_order_relaxed);
         if (response.status != RequestStatus::Done) failures.fetch_add(1);
@@ -444,7 +448,7 @@ TEST(AsyncService, StressMutateWhileQueryKeepsPatchedPlansExact) {
   EmbedRequest finalRequest = delayRequest(*svc.hostSnapshot(), 401, 0);
   finalRequest.algorithm = Algorithm::ECF;
   finalRequest.options.storeLimit = 10000;
-  auto cachedFuture = svc.submitAsync(finalRequest);
+  auto cachedFuture = svc.submit(finalRequest).takeFuture();
   const EmbedResponse viaCache = resolve(cachedFuture);
   service::NetEmbedService fresh{
       service::NetworkModel(graph::Graph(*svc.hostSnapshot()))};
@@ -645,7 +649,7 @@ TEST(AsyncService, QosVisitBudgetBoundsSearchWork) {
   AsyncNetEmbedService svc(asyncHost());
 
   EmbedRequest unbounded = pathRequest(/*maxSolutions=*/100000, /*storeLimit=*/4);
-  auto fullFuture = svc.submitAsync(unbounded);
+  auto fullFuture = svc.submit(unbounded).takeFuture();
   const EmbedResponse full = resolve(fullFuture);
   ASSERT_GT(full.result.stats.treeNodesVisited, 1000u);
 
@@ -917,92 +921,6 @@ TEST(ControlPlane, StressMixedLoadResolvesEveryTicket) {
   EXPECT_GT(stats.effectiveCapacity, 0u);
 }
 
-// --- the bounded onSolution buffer -------------------------------------------
-
-TEST(SolutionBuffer, BlockPolicyDeliversEveryMappingInOrder) {
-  AsyncServiceOptions options;
-  options.workers = 1;
-  AsyncNetEmbedService svc(asyncHost(), options);
-
-  std::vector<core::Mapping> delivered;
-  TicketCallbacks callbacks;
-  callbacks.solutionBufferCapacity = 2;  // far smaller than the stream
-  callbacks.solutionBufferPolicy = service::SolutionBufferPolicy::Block;
-  callbacks.onSolution = [&delivered](const core::Mapping& m) {
-    delivered.push_back(m);  // single consumer thread: no lock needed
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    return true;
-  };
-  SubmitTicket ticket =
-      svc.submit(pathRequest(/*maxSolutions=*/32, /*storeLimit=*/32),
-                 std::move(callbacks));
-  const EmbedResponse response = resolve(ticket);
-  EXPECT_EQ(response.status, RequestStatus::Done);
-  EXPECT_EQ(response.result.solutionCount, 32u);
-  // Lossless: every admitted mapping was delivered, in admission order
-  // (onComplete ordering — the future resolves after the buffer drains).
-  EXPECT_EQ(ticket.solutionsStreamed(), 32u);
-  EXPECT_EQ(ticket.solutionsDropped(), 0u);
-  ASSERT_EQ(delivered.size(), 32u);
-  EXPECT_EQ(delivered, response.result.mappings);
-}
-
-TEST(SolutionBuffer, DropOldestKeepsTheSearchUnblocked) {
-  AsyncServiceOptions options;
-  options.workers = 1;
-  AsyncNetEmbedService svc(asyncHost(), options);
-
-  StreamGate gate;  // parks the *consumer thread* in its first delivery
-  TicketCallbacks callbacks;
-  callbacks.solutionBufferCapacity = 2;
-  callbacks.solutionBufferPolicy = service::SolutionBufferPolicy::DropOldest;
-  callbacks.onSolution = gate.sink();
-  SubmitTicket ticket = svc.submit(
-      pathRequest(/*maxSolutions=*/50, /*storeLimit=*/50), std::move(callbacks));
-  gate.waitFirst();
-
-  // With the consumer parked, the search must still run to completion: every
-  // further admission evicts the oldest buffered mapping instead of stalling
-  // the scheduler worker. 50 admitted, 1 being delivered, <= 2 buffered.
-  const auto deadline = std::chrono::steady_clock::now() + kResolveBudget;
-  while (ticket.solutionsDropped() < 47u &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GE(ticket.solutionsDropped(), 47u)
-      << "the search stalled behind the parked consumer";
-
-  gate.open();
-  const EmbedResponse response = resolve(ticket);
-  EXPECT_EQ(response.status, RequestStatus::Done);
-  EXPECT_EQ(response.result.solutionCount, 50u);
-  // Conservation: every admitted mapping was either delivered or counted.
-  EXPECT_EQ(ticket.solutionsStreamed() + ticket.solutionsDropped(), 50u);
-  EXPECT_GE(ticket.solutionsStreamed(), 1u);
-}
-
-TEST(SolutionBuffer, ConsumerReturningFalseStopsTheSearch) {
-  AsyncServiceOptions options;
-  options.workers = 1;
-  AsyncNetEmbedService svc(asyncHost(), options);
-
-  std::atomic<std::uint64_t> seen{0};
-  TicketCallbacks callbacks;
-  callbacks.solutionBufferCapacity = 2;
-  callbacks.onSolution = [&seen](const core::Mapping&) {
-    return seen.fetch_add(1) + 1 < 3;  // stop after the third delivery
-  };
-  SubmitTicket ticket =
-      svc.submit(pathRequest(/*maxSolutions=*/0, /*storeLimit=*/4),
-                 std::move(callbacks));
-  const EmbedResponse response = resolve(ticket);
-  EXPECT_EQ(response.status, RequestStatus::Done);
-  EXPECT_NE(response.result.outcome, core::Outcome::Complete)
-      << "the consumer's stop must reach the search";
-  EXPECT_EQ(ticket.solutionsStreamed(), 3u);
-  EXPECT_GE(response.result.solutionCount, 3u);
-}
-
 /// Host for the reservation-path pins: large enough that a 5-node
 /// reservation's incident-edge share sits well under the patch-vs-rebuild
 /// cutoff (classifyDelta rebuilds past 1/4 of the host's edges).
@@ -1045,7 +963,7 @@ TEST(AsyncService, ReserveReleaseRoundTripPatchesPlans) {
 
   const std::uint64_t builds0 = core::filterPlanBuilds();
   const std::uint64_t patches0 = core::filterPlanPatches();
-  auto f1 = svc.submitAsync(request);
+  auto f1 = svc.submit(request).takeFuture();
   const EmbedResponse r1 = resolve(f1);
   ASSERT_TRUE(r1.result.feasible());
   EXPECT_EQ(core::filterPlanBuilds() - builds0, 1u);
@@ -1055,7 +973,7 @@ TEST(AsyncService, ReserveReleaseRoundTripPatchesPlans) {
   const auto id = svc.reserve(request.query, r1.result.mappings.front(), spec);
   EXPECT_GT(svc.version(), r1.modelVersion);
 
-  auto f2 = svc.submitAsync(request);
+  auto f2 = svc.submit(request).takeFuture();
   const EmbedResponse r2 = resolve(f2);
   ASSERT_TRUE(r2.result.feasible());
   EXPECT_EQ(core::filterPlanBuilds() - builds0, 1u)
@@ -1066,7 +984,7 @@ TEST(AsyncService, ReserveReleaseRoundTripPatchesPlans) {
 
   // The release is the inverse attribute-only delta: patched again.
   svc.release(id);
-  auto f3 = svc.submitAsync(request);
+  auto f3 = svc.submit(request).takeFuture();
   const EmbedResponse r3 = resolve(f3);
   ASSERT_TRUE(r3.result.feasible());
   EXPECT_EQ(core::filterPlanBuilds() - builds0, 1u);
@@ -1095,7 +1013,7 @@ TEST(AsyncService, ConcurrentReserveReleaseRacesTicketedQueries) {
     spec.nodeCapacityAttrs = {"slots"};
     for (int round = 0; round < kReserveRounds; ++round) {
       EmbedRequest request = slotsRequest(*svc.hostSnapshot(), 500 + round, 2.0);
-      auto future = svc.submitAsync(request);
+      auto future = svc.submit(request).takeFuture();
       const EmbedResponse response = resolve(future);
       if (!response.result.feasible()) continue;
       try {

@@ -89,16 +89,6 @@ EmbedRequest delayRequest(const Graph& host, std::uint64_t seed,
   return request;
 }
 
-/// Topology-only enumeration with a deterministic serial engine.
-EmbedRequest pathRequest(std::size_t maxSolutions, std::size_t storeLimit = 8) {
-  EmbedRequest request;
-  request.query = topo::line(3);
-  request.algorithm = Algorithm::ECF;
-  request.options.maxSolutions = maxSolutions;
-  request.options.storeLimit = storeLimit;
-  return request;
-}
-
 EmbedResponse resolve(std::future<EmbedResponse>& future) {
   if (future.wait_for(kResolveBudget) != std::future_status::ready) {
     ADD_FAILURE() << "future did not resolve within the budget";
@@ -350,7 +340,7 @@ TEST(ChaosScheduler, DequeueLatencySpikeDelaysDispatchOnly) {
       FaultSpec{.maxFires = 1, .delay = std::chrono::milliseconds(30),
                 .throws = false});
   const auto started = std::chrono::steady_clock::now();
-  auto future = svc.submitAsync(delayRequest(host, 41));
+  auto future = svc.submit(delayRequest(host, 41)).takeFuture();
   const EmbedResponse response = resolve(future);
   const auto elapsed = std::chrono::steady_clock::now() - started;
   EXPECT_EQ(response.status, RequestStatus::Done);
@@ -374,6 +364,32 @@ TEST(ChaosTicket, SyncTicketRetriesTransientFaultWithBackoff) {
   EXPECT_EQ(response.status, RequestStatus::Done);
   EXPECT_EQ(response.attempts, 2u);
   EXPECT_EQ(ticket.attempts(), 2u);
+}
+
+TEST(ChaosTicket, SyncTicketCancelDuringBackoffResolvesCancelled) {
+  const Graph host = chaosHost();
+  NetEmbedService svc(host);
+  EmbedRequest request = delayRequest(host, 53);
+  request.qos.retry.maxAttempts = 3;
+  request.qos.retry.baseBackoff = std::chrono::seconds(2);
+  FaultGuard guard(31);
+  // Every attempt crashes, so the ticket parks in its 2 s backoff.
+  FaultInjector::instance().arm(faultsite::kEngineStep, FaultSpec{});
+  SubmitTicket ticket = svc.submitTicketed(request, {});
+  const auto deadline = std::chrono::steady_clock::now() + kResolveBudget;
+  while (ticket.status() != RequestStatus::Retrying &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(ticket.status(), RequestStatus::Retrying);
+  const auto cancelledAt = std::chrono::steady_clock::now();
+  EXPECT_TRUE(ticket.cancel());
+  const EmbedResponse response = resolve(ticket);
+  const auto waited = std::chrono::steady_clock::now() - cancelledAt;
+  EXPECT_EQ(response.status, RequestStatus::Cancelled);
+  EXPECT_EQ(ticket.attempts(), 1u) << "the cancel must preempt attempt 2";
+  EXPECT_LT(waited, std::chrono::seconds(1))
+      << "the cancel must cut the backoff short, not wait it out";
 }
 
 TEST(ChaosAsyncService, RetriedResultsMatchFaultFree) {
@@ -512,31 +528,6 @@ TEST(ChaosAsyncService, ShutdownSettlesRetryBacklog) {
   svc.reset();
 }
 
-TEST(ChaosTicket, BufferedConsumerFaultCountsSinkErrorAndResolves) {
-  const Graph host = chaosHost();
-  NetEmbedService svc(host);
-  EmbedRequest request = pathRequest(/*maxSolutions=*/6);
-  FaultGuard guard(47);
-  FaultInjector::instance().arm(faultsite::kTicketConsumer,
-                                FaultSpec{.maxFires = 1});
-  std::atomic<std::uint64_t> delivered{0};
-  TicketCallbacks callbacks;
-  callbacks.solutionBufferCapacity = 4;
-  callbacks.onSolution = [&delivered](const core::Mapping&) {
-    delivered.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  };
-  SubmitTicket ticket = svc.submitTicketed(request, std::move(callbacks));
-  const EmbedResponse response = resolve(ticket);
-  // The throwing consumer ends streaming for the attempt — like a sink that
-  // returned false — but the ticket still resolves Done, with the throw
-  // counted instead of swallowed invisibly.
-  EXPECT_EQ(response.status, RequestStatus::Done);
-  EXPECT_EQ(ticket.sinkErrors(), 1u);
-  EXPECT_EQ(delivered.load(), 0u)
-      << "the injected throw fires before the first delivery";
-}
-
 // --- the accounting identity under mixed schedules ---------------------------
 
 TEST(ChaosAsyncService, AccountingIdentityHoldsUnderMixedFaultSchedules) {
@@ -564,7 +555,6 @@ TEST(ChaosAsyncService, AccountingIdentityHoldsUnderMixedFaultSchedules) {
     fi.arm(faultsite::kQosDequeue,
            FaultSpec{.probability = 0.2,
                      .delay = std::chrono::milliseconds(2)});
-    fi.arm(faultsite::kTicketConsumer, FaultSpec{.probability = 0.1});
 
     constexpr std::size_t kSubmitted = 24;
     std::vector<SubmitTicket> tickets;

@@ -475,11 +475,11 @@ TEST(QosScheduler, LowPriorityWatermarkShedsEarly) {
 TEST(QosScheduler, AdaptiveCapacityDerivesFromServiceTimes) {
   // Two completed ~25 ms jobs warm the class-0 EWMA; a 50 ms target delay
   // over one worker then derives capacity ceil(50 / ewma) in [1, 2], clamped
-  // up to minCapacity 2 — far below the static bound of 64.
+  // up to kMinAdaptiveCapacity 2 — far below the static bound of 64.
+  static_assert(QosScheduler::ControlPolicy::kMinAdaptiveCapacity == 2);
   QosScheduler::Options options = singleWorker(/*capacity=*/64, OverloadPolicy::Reject);
   options.control.adaptiveCapacity = true;
   options.control.targetQueueDelay = std::chrono::milliseconds(50);
-  options.control.minCapacity = 2;
   QosScheduler sched(options);
 
   // Before any completion the static capacity applies.

@@ -128,6 +128,9 @@ TEST(SimMetrics, AccountingIdentityEnforced) {
   EXPECT_THROW((void)m.finalize("s", "c", 1), std::logic_error);
   m.onTerminalStatus(service::RequestStatus::Rejected);
   EXPECT_NO_THROW((void)m.finalize("s", "c", 1));
+  // A withdrawal at departure must be one of the cancelled terminals.
+  m.onWithdrawnAtDeparture();
+  EXPECT_THROW((void)m.finalize("s", "c", 1), std::logic_error);
 }
 
 TEST(SimMetrics, NonTerminalStatusIsAHarnessBug) {
@@ -203,7 +206,11 @@ TEST(SimDriver, DeterministicScorecardPerSeed) {
 
   sim::Driver a(host, opt);
   sim::Driver b(host, opt);
-  const std::string ja = a.run(trace, "unit", "static", 3).toJson();
+  const sim::Scorecard card = a.run(trace, "unit", "static", 3);
+  // Serialized replay settles every ticket before the next event fires, so
+  // no departure ever finds its request unresolved.
+  EXPECT_EQ(card.terminals.withdrawnAtDeparture, 0u);
+  const std::string ja = card.toJson();
   const std::string jb = b.run(trace, "unit", "static", 3).toJson();
   EXPECT_EQ(ja, jb) << "virtual clock must be byte-deterministic per seed";
 
@@ -338,6 +345,7 @@ TEST(SimDriver, WallClockModeResolvesAllTickets) {
   const sim::Scorecard card = driver.run(trace, "wall", "static", 17);
   EXPECT_EQ(card.terminals.submitted, trace.arrivalCount());
   EXPECT_GT(card.accepted, 0u);
+  EXPECT_LE(card.terminals.withdrawnAtDeparture, card.terminals.cancelled);
 }
 
 }  // namespace
