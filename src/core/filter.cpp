@@ -4,7 +4,6 @@
 #include <atomic>
 #include <utility>
 
-#include "util/fault.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
 
@@ -12,43 +11,61 @@ namespace netembed::core {
 
 namespace {
 
+/// Run `fn(i)` for every i in [0, n): over util::parallelFor when `parallel`
+/// and there is more than one index, inline otherwise.
+template <typename Fn>
+void forEachIndex(bool parallel, std::size_t n, const Fn& fn) {
+  if (parallel && n > 1) {
+    util::parallelFor(n, fn, 1);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
+/// True when the edge constraint reads none of the endpoint objects
+/// (vSource/vTarget/rSource/rTarget): its outcome on an undirected host edge
+/// is then the same in both orientations, so one evaluation serves both.
+/// An unconstrained problem is trivially orientation-blind.
+bool orientationBlind(const Problem& problem) {
+  const expr::Constraint* edgeConstraint = problem.edgeConstraint();
+  if (!edgeConstraint) return true;
+  constexpr std::uint32_t endpointMask =
+      (1u << static_cast<std::uint32_t>(expr::ObjectId::VSource)) |
+      (1u << static_cast<std::uint32_t>(expr::ObjectId::VTarget)) |
+      (1u << static_cast<std::uint32_t>(expr::ObjectId::RSource)) |
+      (1u << static_cast<std::uint32_t>(expr::ObjectId::RTarget));
+  return (edgeConstraint->program().objectsUsed() & endpointMask) == 0;
+}
+
 /// Dense bitmap of node-level viability (node constraint + degree bound),
 /// computed once up front; O(NQ * NR) evaluations of the node constraint.
-/// One task per (query node, shard) fills that shard's word subrange of the
-/// row (a whole row on one shard), so tasks write disjoint words. Tasks are
-/// cancellable mid-range — on large hosts with an expensive node constraint
-/// this stage alone can outlive a portfolio race or a deadline — and, when
-/// there is more than one shard, fault-injectable at plan.shard_build.
+/// One task per (query node, 4,096-node chunk) fills a 64-word subrange of
+/// the row, so tasks write disjoint words and a 100k-node host still splits
+/// into enough tasks to keep the pool busy. Every task polls `cancelled`
+/// first: on large hosts with an expensive node constraint this stage alone
+/// can outlive a portfolio race or a deadline.
 util::BitMatrix nodeViability(const Problem& p, const SearchOptions& options,
-                              const ShardMap& shards,
                               const std::function<bool()>& cancelled) {
   const std::size_t nq = p.query->nodeCount();
-  util::BitMatrix ok(nq, p.host->nodeCount());
-  constexpr std::size_t kCancelPollStride = 4096;
-  const std::size_t s = shards.shardCount();
+  const std::size_t nr = p.host->nodeCount();
+  util::BitMatrix ok(nq, nr);
+  constexpr std::size_t kChunkNodes = 64 * util::kBitsPerWord;
+  const std::size_t chunks =
+      std::max<std::size_t>(1, (nr + kChunkNodes - 1) / kChunkNodes);
   const auto evalTask = [&](std::size_t t) {
-    if (s > 1 && util::FaultInjector::enabled()) {
-      util::faultPoint(util::faultsite::kShardBuild);
-    }
-    const std::size_t q = t / s;
-    const auto begin = static_cast<graph::NodeId>(shards.beginNode(t % s));
-    const auto end = static_cast<graph::NodeId>(shards.endNode(t % s));
+    if (cancelled && cancelled()) throw FilterBuildCancelled();
+    const auto q = static_cast<graph::NodeId>(t / chunks);
+    const std::size_t begin = (t % chunks) * kChunkNodes;
+    const std::size_t end = std::min(begin + kChunkNodes, nr);
     std::uint64_t* row = ok.rowData(q);
-    for (graph::NodeId r = begin; r < end; ++r) {
-      if ((r - begin) % kCancelPollStride == 0 && cancelled && cancelled()) {
-        throw FilterBuildCancelled();
-      }
-      if (p.degreeOk(static_cast<graph::NodeId>(q), r) &&
-          p.nodeOk(static_cast<graph::NodeId>(q), r)) {
+    for (std::size_t r = begin; r < end; ++r) {
+      const auto node = static_cast<graph::NodeId>(r);
+      if (p.degreeOk(q, node) && p.nodeOk(q, node)) {
         row[r / util::kBitsPerWord] |= std::uint64_t{1} << (r % util::kBitsPerWord);
       }
     }
   };
-  if (options.parallelFilterBuild && nq * s > 1) {
-    util::parallelFor(nq * s, evalTask, 1);
-  } else {
-    for (std::size_t t = 0; t < nq * s; ++t) evalTask(t);
-  }
+  forEachIndex(options.parallelFilterBuild, nq * chunks, evalTask);
   return ok;
 }
 
@@ -83,20 +100,13 @@ util::BitMatrix nodeViability(const Problem& p, const SearchOptions& options,
 FilterMatrix FilterMatrix::build(const Problem& problem, const SearchOptions& options,
                                  SearchStats& stats,
                                  const std::function<bool()>& cancelled) {
-  problem.validate();
-  return build(problem, options, ShardMap::forHost(problem.host->nodeCount()),
-               stats, cancelled);
-}
-
-FilterMatrix FilterMatrix::build(const Problem& problem, const SearchOptions& options,
-                                 const ShardMap& shards, SearchStats& stats,
-                                 const std::function<bool()>& cancelled) {
   util::Stopwatch timer;
   problem.validate();
   const graph::Graph& q = *problem.query;
   const graph::Graph& h = *problem.host;
   const std::size_t nq = q.nodeCount();
   const std::size_t nr = h.nodeCount();
+  const bool parallel = options.parallelFilterBuild;
 
   FilterMatrix fm;
   fm.slots_.resize(nq);
@@ -126,84 +136,48 @@ FilterMatrix FilterMatrix::build(const Problem& problem, const SearchOptions& op
   fm.cellBits_.resize(cellCount);
   fm.hostAdjacencySlots_ = h.edgeCount() * (h.directed() ? 1 : 2);
 
-  // --- shard partition ------------------------------------------------------
-  if (shards.hostNodes() != nr) {
-    throw std::invalid_argument("FilterMatrix::build: shard map does not match the host");
-  }
-  fm.shards_ = shards;
-  const std::size_t shardCount = shards.shardCount();
-
   // --- stage 0: node-level viability bitmap --------------------------------
   // Moved into the matrix at the end: patch() re-gates pair evaluations with
   // it so node constraints only re-run over the touched host nodes.
-  util::BitMatrix nodeOk = nodeViability(problem, options, shards, cancelled);
-
-  // Bucket the host edges by (source shard, target shard) — a stable
-  // counting sort into bucketEdges[bucketStart[b], bucketStart[b + 1]) — and
-  // summarize stage-0 viability per (query node, shard). Stage 1 then walks
-  // buckets and skips every bucket whose shard pair cannot pass the
-  // per-pair node gate in any orientation: the same gate the per-pair
-  // evaluation applies, hoisted to shard granularity. Off-diagonal buckets
-  // hold the cross-shard edges, evaluated under exactly the per-pair rules,
-  // so candidate sets do not depend on the partition. One shard is one
-  // bucket holding every edge in id order, so it skips the sort and leaves
-  // bucketEdges empty.
-  std::vector<std::uint64_t> nodeOkOcc(nq);
-  for (std::size_t v = 0; v < nq; ++v) nodeOkOcc[v] = shards.occupancy(nodeOk.row(v));
-  std::vector<std::size_t> bucketStart{0, h.edgeCount()};
-  std::vector<graph::EdgeId> bucketEdges;
-  if (shardCount > 1) {
-    // Per-node shard ids, so the two passes below index instead of dividing.
-    static_assert(ShardMap::kMaxShards <= 256, "shard ids are stored as bytes");
-    std::vector<std::uint8_t> shardOfNode(nr);
-    for (std::size_t k = 0; k < shardCount; ++k) {
-      std::fill(shardOfNode.begin() + static_cast<std::ptrdiff_t>(shards.beginNode(k)),
-                shardOfNode.begin() + static_cast<std::ptrdiff_t>(shards.endNode(k)),
-                static_cast<std::uint8_t>(k));
-    }
-    const auto bucketOf = [&](graph::EdgeId he) {
-      return shardOfNode[h.edgeSource(he)] * shardCount + shardOfNode[h.edgeTarget(he)];
-    };
-    bucketStart.assign(shardCount * shardCount + 1, 0);
-    for (graph::EdgeId he = 0; he < h.edgeCount(); ++he) ++bucketStart[bucketOf(he) + 1];
-    for (std::size_t b = 0; b + 1 < bucketStart.size(); ++b) {
-      bucketStart[b + 1] += bucketStart[b];
-    }
-    bucketEdges.resize(h.edgeCount());
-    std::vector<std::size_t> cursor(bucketStart.begin(), bucketStart.end() - 1);
-    for (graph::EdgeId he = 0; he < h.edgeCount(); ++he) {
-      bucketEdges[cursor[bucketOf(he)]++] = he;
-    }
-  }
+  util::BitMatrix nodeOk = nodeViability(problem, options, cancelled);
 
   // --- stage 1: evaluate the constraint per (query edge, host edge) -------
   //
   // matchPairs[e] holds (ra, rb) pairs meaning: query edge e, used in its
-  // stored orientation src->dst, can map src->ra, dst->rb. A constraint that
-  // references none of the endpoint objects (vSource/vTarget/rSource/
-  // rTarget) is orientation-blind, so each undirected (qe, he) pair is
-  // evaluated once and mirrored — a 2x saving on the dominant loop.
-  const expr::Constraint* edgeConstraint = problem.edgeConstraint();
-  bool symmetric = true;
-  if (edgeConstraint) {
-    constexpr std::uint32_t endpointMask =
-        (1u << static_cast<std::uint32_t>(expr::ObjectId::VSource)) |
-        (1u << static_cast<std::uint32_t>(expr::ObjectId::VTarget)) |
-        (1u << static_cast<std::uint32_t>(expr::ObjectId::RSource)) |
-        (1u << static_cast<std::uint32_t>(expr::ObjectId::RTarget));
-    symmetric = (edgeConstraint->program().objectsUsed() & endpointMask) == 0;
-  }
-
+  // stored orientation src->dst, can map src->ra, dst->rb. The sweep for e
+  // is anchored on whichever endpoint has fewer stage-0-viable host nodes
+  // (src on a tie): it walks only the adjacency of the anchor's viable host
+  // nodes y and skips every neighbour z that fails stage 0 for the other
+  // endpoint, so host edges the node checks rule out are never touched —
+  // a query edge with one free and one pinned endpoint costs the pinned
+  // side's adjacency, not the host's. Each visit (y, z) is one oriented
+  // pair src->u, dst->x, with (u, x) = (y, z) anchored on src and (z, y)
+  // anchored on dst:
+  //  * a directed host lists each edge once per direction — out-adjacency
+  //    when anchored on src, in-adjacency on dst — so one visit;
+  //  * an undirected host lists each edge at both endpoints, one visit per
+  //    orientation. An endpoint-reading constraint is evaluated per visit;
+  //    an orientation-blind one (see orientationBlind) once per edge — at
+  //    the smaller anchor's visit when both orientations pass the gate, at
+  //    the only passing visit otherwise — and mirrored.
+  // That is exactly one evaluation per gated (query edge, host edge,
+  // orientation), or per gated edge when orientation-blind, whichever end
+  // anchors. Pair discovery order differs from host edge order, but stage
+  // 2's counting sort keys cells on (host node, candidate), so the cells
+  // do not depend on it. stats.filterSweepVisits counts the adjacency
+  // entries walked.
+  const bool blind = orientationBlind(problem);
   std::vector<std::vector<std::pair<graph::NodeId, graph::NodeId>>> matchPairs(
       q.edgeCount());
   std::atomic<std::uint64_t> evals{0};
+  std::atomic<std::uint64_t> visits{0};
   std::atomic<std::size_t> entries{0};
   const std::size_t entryBudget =
       options.maxFilterEntries == 0 ? static_cast<std::size_t>(-1) : options.maxFilterEntries;
 
   // Poll sparsely: the predicate may check the wall clock, and the loop body
-  // is a handful of lookups per host edge.
-  constexpr graph::EdgeId kCancelPollStride = 4096;
+  // is a handful of lookups per visit.
+  constexpr std::size_t kCancelPollStride = 4096;
 
   const auto evaluateQueryEdge = [&](std::size_t qeIndex) {
     const auto qe = static_cast<graph::EdgeId>(qeIndex);
@@ -211,81 +185,47 @@ FilterMatrix FilterMatrix::build(const Problem& problem, const SearchOptions& op
     const graph::NodeId qb = q.edgeTarget(qe);
     auto& pairs = matchPairs[qeIndex];
     std::uint64_t localEvals = 0;
-
-    // Per-pair evaluation, the same for every partition.
     const auto okA = nodeOk.row(qa);
     const auto okB = nodeOk.row(qb);
-    const auto evalHostEdge = [&](graph::EdgeId he) {
-      const graph::NodeId ra = h.edgeSource(he);
-      const graph::NodeId rb = h.edgeTarget(he);
-      const bool forward = util::testBit(okA, ra) && util::testBit(okB, rb);
-      if (h.directed()) {
-        if (forward && problem.edgeOk(qe, qa, qb, he, ra, rb, localEvals)) {
-          pairs.emplace_back(ra, rb);
-        }
-        return;
-      }
-      const bool backward = util::testBit(okA, rb) && util::testBit(okB, ra);
-      if (symmetric) {
-        if (!forward && !backward) return;
-        if (!problem.edgeOk(qe, qa, qb, he, ra, rb, localEvals)) return;
-        if (forward) pairs.emplace_back(ra, rb);
-        if (backward) pairs.emplace_back(rb, ra);
-      } else {
-        if (forward && problem.edgeOk(qe, qa, qb, he, ra, rb, localEvals)) {
-          pairs.emplace_back(ra, rb);
-        }
-        if (backward && problem.edgeOk(qe, qa, qb, he, rb, ra, localEvals)) {
-          pairs.emplace_back(rb, ra);
-        }
-      }
-    };
-
-    // A bucket (sA, sB) can only yield pairs when some orientation passes
-    // the per-shard stage-0 summary; every per-pair node gate inside a
-    // skipped bucket would have failed before reaching edgeOk, so skipping
-    // changes neither candidates nor eval counts. Pair discovery order
-    // depends on the partition, but stage 2's counting sort keys cells on
-    // (host node, candidate), making the CSR layout — and everything
-    // downstream — order-independent.
-    const auto anyOk = [&](graph::NodeId v, std::size_t k) {
-      return ((nodeOkOcc[v] >> k) & 1u) != 0;
-    };
+    const bool fromB = util::simd::popcount(okB.data(), okB.size()) <
+                       util::simd::popcount(okA.data(), okA.size());
+    const auto okAnchor = fromB ? okB : okA;
+    const auto okOther = fromB ? okA : okB;
     std::size_t polls = 0;
-    for (std::size_t sA = 0; sA < shardCount; ++sA) {
-      for (std::size_t sB = 0; sB < shardCount; ++sB) {
-        const std::size_t b = sA * shardCount + sB;
-        if (bucketStart[b] == bucketStart[b + 1]) continue;
-        bool reachable = anyOk(qa, sA) && anyOk(qb, sB);
-        if (!h.directed() && !reachable) {
-          reachable = anyOk(qa, sB) && anyOk(qb, sA);
+    util::forEachSetBit(okAnchor, [&](std::size_t yIndex) {
+      const auto y = static_cast<graph::NodeId>(yIndex);
+      const bool yOkOther = util::testBit(okOther, y);
+      for (const graph::Neighbor& nb :
+           fromB && h.directed() ? h.inNeighbors(y) : h.neighbors(y)) {
+        if (polls++ % kCancelPollStride == 0 && cancelled && cancelled()) {
+          throw FilterBuildCancelled();
         }
-        if (!reachable) continue;
-        if (shardCount > 1 && util::FaultInjector::enabled()) {
-          util::faultPoint(util::faultsite::kShardBuild);
-        }
-        for (std::size_t i = bucketStart[b], end = bucketStart[b + 1]; i < end; ++i) {
-          if (polls++ % kCancelPollStride == 0 && cancelled && cancelled()) {
-            throw FilterBuildCancelled();
+        const graph::NodeId z = nb.node;
+        if (!util::testBit(okOther, z)) continue;
+        const graph::NodeId u = fromB ? z : y;
+        const graph::NodeId x = fromB ? y : z;
+        if (h.directed() || !blind) {
+          if (problem.edgeOk(qe, qa, qb, nb.edge, u, x, localEvals)) {
+            pairs.emplace_back(u, x);
           }
-          evalHostEdge(bucketEdges.empty() ? static_cast<graph::EdgeId>(i)
-                                           : bucketEdges[i]);
+          continue;
         }
+        const bool mirrored = yOkOther && util::testBit(okAnchor, z);
+        if (mirrored && z < y) continue;  // evaluated at z's visit
+        if (!problem.edgeOk(qe, qa, qb, nb.edge, u, x, localEvals)) continue;
+        pairs.emplace_back(u, x);
+        if (mirrored) pairs.emplace_back(x, u);
       }
-    }
+    });
 
     evals.fetch_add(localEvals, std::memory_order_relaxed);
+    visits.fetch_add(polls, std::memory_order_relaxed);
     // Every oriented pair lands in exactly two cells (one per endpoint).
     const std::size_t stored =
         entries.fetch_add(2 * pairs.size(), std::memory_order_relaxed) + 2 * pairs.size();
     if (stored > entryBudget) throw FilterOverflow(stored);
   };
-
-  if (options.parallelFilterBuild && q.edgeCount() > 1) {
-    util::parallelFor(q.edgeCount(), evaluateQueryEdge, 1);
-  } else {
-    for (std::size_t i = 0; i < q.edgeCount(); ++i) evaluateQueryEdge(i);
-  }
+  forEachIndex(parallel, q.edgeCount(), evaluateQueryEdge);
 
   // --- stage 2: scatter match pairs into per-slot CSR (+ bitset) cells ----
   // Slot (v, s) with edge e: if v == src(e) the cell keys on ra and stores
@@ -348,11 +288,7 @@ FilterMatrix FilterMatrix::build(const Problem& problem, const SearchOptions& op
       }
     }
   };
-  if (options.parallelFilterBuild && cellCount > 1) {
-    util::parallelFor(cellCount, fillSlot, 1);
-  } else {
-    for (std::size_t i = 0; i < cellCount; ++i) fillSlot(i);
-  }
+  forEachIndex(parallel, cellCount, fillSlot);
 
   // --- viable lists + bit rows (strengthened eq. 1) -------------------------
   fm.viableBits_.assign(nq, nr);
@@ -377,16 +313,13 @@ FilterMatrix FilterMatrix::build(const Problem& problem, const SearchOptions& op
       }
     }
   };
-  if (options.parallelFilterBuild && nq > 1) {
-    util::parallelFor(nq, fillViable, 1);
-  } else {
-    for (std::size_t v = 0; v < nq; ++v) fillViable(v);
-  }
+  forEachIndex(parallel, nq, fillViable);
 
   fm.nodeOkBits_ = std::move(nodeOk);
   fm.totalEntries_ = entries.load();
   stats.filterEntries = fm.totalEntries_;
   stats.constraintEvals += evals.load();
+  stats.filterSweepVisits += visits.load();
   stats.filterBuildMs = timer.elapsedMs();
   return fm;
 }
@@ -430,20 +363,11 @@ void FilterMatrix::patch(const Problem& problem, const SearchOptions& options,
   }
 
   // --- re-evaluate the affected (query edge, host edge) pairs ---------------
-  // Mirrors stage 1 of build() exactly (same gating, same symmetric-once
-  // evaluation) so a patched matrix is candidate-set-identical to a fresh
-  // build; only the loop domain shrinks from every host edge to the
-  // affected ones.
-  const expr::Constraint* edgeConstraint = problem.edgeConstraint();
-  bool symmetric = true;
-  if (edgeConstraint) {
-    constexpr std::uint32_t endpointMask =
-        (1u << static_cast<std::uint32_t>(expr::ObjectId::VSource)) |
-        (1u << static_cast<std::uint32_t>(expr::ObjectId::VTarget)) |
-        (1u << static_cast<std::uint32_t>(expr::ObjectId::RSource)) |
-        (1u << static_cast<std::uint32_t>(expr::ObjectId::RTarget));
-    symmetric = (edgeConstraint->program().objectsUsed() & endpointMask) == 0;
-  }
+  // Mirrors stage 1 of build() exactly (same gating, same once-per-edge
+  // evaluation of an orientation-blind constraint) so a patched matrix is
+  // candidate-set-identical to a fresh build; only the loop domain shrinks
+  // to the affected host edges.
+  const bool blind = orientationBlind(problem);
 
   // Which cells key on the mapped source endpoint of each query edge.
   std::vector<std::vector<std::pair<std::uint32_t, bool>>> cellsOfEdge(q.edgeCount());
@@ -494,7 +418,7 @@ void FilterMatrix::patch(const Problem& problem, const SearchOptions& options,
       if (h.directed()) {
         forward = nodeOkBits_.test(qa, ra) && nodeOkBits_.test(qb, rb) &&
                   problem.edgeOk(qe, qa, qb, he, ra, rb, localEvals);
-      } else if (symmetric) {
+      } else if (blind) {
         const bool fGate = nodeOkBits_.test(qa, ra) && nodeOkBits_.test(qb, rb);
         const bool bGate = nodeOkBits_.test(qa, rb) && nodeOkBits_.test(qb, ra);
         const bool pass =
@@ -518,11 +442,7 @@ void FilterMatrix::patch(const Problem& problem, const SearchOptions& options,
     }
     evals.fetch_add(localEvals, std::memory_order_relaxed);
   };
-  if (parallel && q.edgeCount() > 1) {
-    util::parallelFor(q.edgeCount(), evaluateEdge, 1);
-  } else {
-    for (std::size_t i = 0; i < q.edgeCount(); ++i) evaluateEdge(i);
-  }
+  forEachIndex(parallel, q.edgeCount(), evaluateEdge);
 
   // --- splice the edits into the CSR cells (and their bit rows) -------------
   // Cells are disjoint (own CSR, own bit rows), so the splice fans out over
@@ -583,11 +503,7 @@ void FilterMatrix::patch(const Problem& problem, const SearchOptions& options,
       }
     }
   };
-  if (parallel && cells_.size() > 1) {
-    util::parallelFor(cells_.size(), spliceCell, 1);
-  } else {
-    for (std::size_t c = 0; c < cells_.size(); ++c) spliceCell(c);
-  }
+  forEachIndex(parallel, cells_.size(), spliceCell);
   totalEntries_ = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(totalEntries_) +
                                            entryDelta.load(std::memory_order_relaxed));
 
@@ -629,11 +545,7 @@ void FilterMatrix::patch(const Problem& problem, const SearchOptions& options,
       }
     }
   };
-  if (parallel && nq > 1) {
-    util::parallelFor(nq, regateNode, 1);
-  } else {
-    for (std::size_t v = 0; v < nq; ++v) regateNode(v);
-  }
+  forEachIndex(parallel, nq, regateNode);
 
   stats.filterEntries = totalEntries_;
   stats.constraintEvals += evals.load(std::memory_order_relaxed);

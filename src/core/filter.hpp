@@ -28,7 +28,6 @@
 #include "core/delta.hpp"
 #include "core/problem.hpp"
 #include "core/search.hpp"
-#include "core/shard.hpp"
 #include "util/bitset.hpp"
 
 namespace netembed::core {
@@ -73,19 +72,12 @@ class FilterMatrix {
   /// the CSR/bitset scatter) — a portfolio loser or an expired deadline must
   /// not keep burning CPU on a build nobody will search; when it returns
   /// true the build throws FilterBuildCancelled. The predicate may be
-  /// invoked concurrently when parallelFilterBuild is on. The host is
-  /// partitioned by ShardMap::forHost; the shard count changes how the build
-  /// runs, never what it produces.
+  /// invoked concurrently when parallelFilterBuild is on. The stage-1 sweep
+  /// walks only the adjacency of host nodes that pass the stage-0 node
+  /// checks, so its cost follows the viable part of the host, not the whole.
   [[nodiscard]] static FilterMatrix build(
       const Problem& problem, const SearchOptions& options, SearchStats& stats,
       const std::function<bool()>& cancelled = {});
-
-  /// build() over an explicit partition of `problem.host`'s nodes. For
-  /// tests and benchmarks that compare shard counts: every map yields
-  /// byte-identical cells, viable lists and viability rows.
-  [[nodiscard]] static FilterMatrix build(
-      const Problem& problem, const SearchOptions& options, const ShardMap& shards,
-      SearchStats& stats, const std::function<bool()>& cancelled = {});
 
   /// Incrementally re-evaluate this matrix against an attribute-only host
   /// delta: `problem.host` is the post-mutation graph (same topology as the
@@ -181,10 +173,6 @@ class FilterMatrix {
     return hostAdjacencySlots_;
   }
 
-  /// The host partition this matrix was built with; FilterPlan::patch
-  /// classifies deltas against it.
-  [[nodiscard]] const ShardMap& shardMap() const noexcept { return shards_; }
-
   /// Per-structure memory accounting for the bench memory trajectory.
   struct MemoryBreakdown {
     std::size_t csrBytes = 0;        // offsets + data of every cell
@@ -215,8 +203,6 @@ class FilterMatrix {
   util::BitMatrix nodeOkBits_;                      // nq x nr
   std::size_t totalEntries_ = 0;
   std::size_t hostAdjacencySlots_ = 0;
-
-  ShardMap shards_;
 };
 
 }  // namespace netembed::core

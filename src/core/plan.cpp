@@ -40,11 +40,21 @@ void finalizeOrder(FilterPlan& plan, const SearchOptions& options, std::size_t n
   }
 }
 
-/// The delta checks shared by both classifyDelta flavours: structural /
-/// empty / the provable attribute-irrelevance proof. nullopt means "fall
-/// through to the patch-vs-rebuild cost decision".
-std::optional<DeltaImpact> classifyCommon(const Problem& problem,
-                                          const ModelDelta& delta) {
+}  // namespace
+
+std::uint64_t filterPlanBuilds() noexcept {
+  return gPlanBuilds.load(std::memory_order_relaxed);
+}
+
+std::uint64_t filterPlanPatches() noexcept {
+  return gPlanPatches.load(std::memory_order_relaxed);
+}
+
+std::uint64_t filterPlanInPlacePatches() noexcept {
+  return gPlanInPlacePatches.load(std::memory_order_relaxed);
+}
+
+DeltaImpact classifyDelta(const Problem& problem, const ModelDelta& delta) {
   if (delta.structural) return DeltaImpact::Rebuild;
   if (delta.empty()) return DeltaImpact::Unaffected;
 
@@ -63,25 +73,6 @@ std::optional<DeltaImpact> classifyCommon(const Problem& problem,
   collect(problem.nodeConstraint());
   std::sort(referenced.begin(), referenced.end());
   if (!delta.touchesAnyAttr(referenced)) return DeltaImpact::Unaffected;
-  return std::nullopt;
-}
-
-}  // namespace
-
-std::uint64_t filterPlanBuilds() noexcept {
-  return gPlanBuilds.load(std::memory_order_relaxed);
-}
-
-std::uint64_t filterPlanPatches() noexcept {
-  return gPlanPatches.load(std::memory_order_relaxed);
-}
-
-std::uint64_t filterPlanInPlacePatches() noexcept {
-  return gPlanInPlacePatches.load(std::memory_order_relaxed);
-}
-
-DeltaImpact classifyDelta(const Problem& problem, const ModelDelta& delta) {
-  if (const auto early = classifyCommon(problem, delta)) return *early;
 
   // Patch cost scales with the affected host edges (touched + incident to
   // touched nodes; affectedEdgeMask is the shared rule the patch itself
@@ -96,45 +87,6 @@ DeltaImpact classifyDelta(const Problem& problem, const ModelDelta& delta) {
   for (const char a : affected) affectedCount += a != 0;
   if (affectedCount * kPatchEdgeShareDivisor > h.edgeCount()) {
     return DeltaImpact::Rebuild;
-  }
-  return DeltaImpact::Patchable;
-}
-
-DeltaImpact classifyDelta(const Problem& problem, const ModelDelta& delta,
-                          const ShardMap& shards) {
-  if (shards.shardCount() <= 1) return classifyDelta(problem, delta);
-  if (const auto early = classifyCommon(problem, delta)) return *early;
-
-  const graph::Graph& h = *problem.host;
-  std::vector<char> affected;
-  if (!affectedEdgeMask(h, delta, affected)) {
-    return DeltaImpact::Rebuild;  // foreign delta
-  }
-  // The E/4 cutoff at shard granularity. An edge belongs to its endpoints'
-  // shards; a boundary edge charges both (the patch re-evaluates it for
-  // both shards' cells). A delta is Patchable when every touched shard is
-  // individually cheap — its affected share under the cutoff, or its
-  // absolute count under the floor (a localized delta on a sharded host
-  // should never trigger a full O(E_query x E_host) rebuild just because it
-  // saturates one tiny shard).
-  const std::size_t s = shards.shardCount();
-  std::vector<std::size_t> shardEdges(s, 0);
-  std::vector<std::size_t> shardAffected(s, 0);
-  for (graph::EdgeId he = 0; he < h.edgeCount(); ++he) {
-    const std::size_t sA = shards.shardOf(h.edgeSource(he));
-    const std::size_t sB = shards.shardOf(h.edgeTarget(he));
-    ++shardEdges[sA];
-    if (sB != sA) ++shardEdges[sB];
-    if (affected[he]) {
-      ++shardAffected[sA];
-      if (sB != sA) ++shardAffected[sB];
-    }
-  }
-  for (std::size_t k = 0; k < s; ++k) {
-    if (shardAffected[k] <= kPatchShardEdgeFloor) continue;
-    if (shardAffected[k] * kPatchEdgeShareDivisor > shardEdges[k]) {
-      return DeltaImpact::Rebuild;
-    }
   }
   return DeltaImpact::Patchable;
 }
@@ -207,53 +159,39 @@ std::shared_ptr<const FilterPlan> FilterPlan::build(
 }
 
 std::shared_ptr<const FilterPlan> FilterPlan::patch(
-    const FilterPlan& base, const Problem& problem, const SearchOptions& options,
-    const ModelDelta& delta, const std::function<bool()>& cancelled,
-    SearchStats* partial) {
-  if (util::FaultInjector::enabled()) {
-    util::faultPoint(util::faultsite::kPlanPatch);
-  }
-  SearchStats local;
-  SearchStats& stats = partial ? *partial : local;
-  auto plan = std::make_shared<FilterPlan>();
-  // Structural copy first (no constraint evaluations — the dominant rebuild
-  // cost), then splice the delta-affected cells in place. `base` stays
-  // untouched: in-flight searches against the old version keep their plan.
-  plan->filters = base.filters;
-  plan->filters.patch(problem, options, delta, stats, cancelled);
-  finalizeOrder(*plan, options, problem.query->nodeCount());
-  plan->buildStats = stats;
-  gPlanPatches.fetch_add(1, std::memory_order_relaxed);
-  return plan;
-}
-
-std::shared_ptr<const FilterPlan> FilterPlan::patchOwned(
     std::shared_ptr<const FilterPlan> base, const Problem& problem,
     const SearchOptions& options, const ModelDelta& delta,
     const std::function<bool()>& cancelled, SearchStats* partial) {
-  // The count can only fall once we hold the last visible copy: no other
-  // thread can clone a reference it does not have. So a reading of 1 here is
-  // stable exclusivity, not a race window.
-  if (base.use_count() != 1) {
-    return patch(*base, problem, options, delta, cancelled, partial);
-  }
-  // Probe before the in-place mutation begins, so an injected failure leaves
-  // the base plan intact (the copying patch() path has its own probe).
+  // Probe before any mutation begins, so an injected failure leaves the
+  // base plan intact on either path.
   if (util::FaultInjector::enabled()) {
     util::faultPoint(util::faultsite::kPlanPatch);
   }
   SearchStats local;
   SearchStats& stats = partial ? *partial : local;
-  // Sole owner: splice the delta straight into the existing matrix. The
-  // const_cast is sound — every FilterPlan is created mutable through
-  // make_shared and only exposed through const pointers.
-  auto* plan = const_cast<FilterPlan*>(base.get());
+  // The count can only fall once we hold the last visible copy: no other
+  // thread can clone a reference it does not have. So a reading of 1 here is
+  // stable exclusivity, not a race window.
+  const bool inPlace = base.use_count() == 1;
+  std::shared_ptr<FilterPlan> plan;
+  if (inPlace) {
+    // Sole owner: splice the delta straight into the existing matrix. The
+    // const_cast is sound — every FilterPlan is created mutable through
+    // make_shared and only exposed through const pointers.
+    plan = std::const_pointer_cast<FilterPlan>(std::move(base));
+  } else {
+    // Structural copy first (no constraint evaluations — the dominant
+    // rebuild cost), then splice. The shared base stays untouched: in-flight
+    // searches against the old version keep their plan.
+    plan = std::make_shared<FilterPlan>();
+    plan->filters = base->filters;
+  }
   plan->filters.patch(problem, options, delta, stats, cancelled);
   finalizeOrder(*plan, options, problem.query->nodeCount());
   plan->buildStats = stats;
   gPlanPatches.fetch_add(1, std::memory_order_relaxed);
-  gPlanInPlacePatches.fetch_add(1, std::memory_order_relaxed);
-  return base;
+  if (inPlace) gPlanInPlacePatches.fetch_add(1, std::memory_order_relaxed);
+  return plan;
 }
 
 bool SharedPlanBuilder::mergeDelta(const ModelDelta& later) {
@@ -274,7 +212,7 @@ SharedPlanBuilder::Acquired SharedPlanBuilder::get(
       building_ = true;
       // MOVED out (not copied) so the builder's own reference to the base
       // plan is gone during resolution — a copy here would keep use_count at
-      // 2 and defeat patchOwned's exclusivity test. mergeDelta refuses to
+      // 2 and defeat patch's exclusivity test. mergeDelta refuses to
       // touch the source while building_ is set, and a failed build restores
       // it below unless the in-place patch already consumed the base.
       std::optional<PatchSource> source = std::move(patchSource_);
@@ -288,8 +226,7 @@ SharedPlanBuilder::Acquired SharedPlanBuilder::get(
       bool builtHere = true;
       try {
         if (source) {
-          switch (classifyDelta(problem, source->delta,
-                                source->base->filters.shardMap())) {
+          switch (classifyDelta(problem, source->delta)) {
             case DeltaImpact::Unaffected:
               // Provably identical candidate sets: the inherited plan IS the
               // plan for this version. No build, no patch, no cost.
@@ -301,9 +238,8 @@ SharedPlanBuilder::Acquired SharedPlanBuilder::get(
               // in-flight search still holds is exclusively ours and patches
               // in place (no structural copy).
               sourceConsumed = true;
-              built = FilterPlan::patchOwned(std::move(source->base), problem,
-                                             options, source->delta, cancelled,
-                                             partial);
+              built = FilterPlan::patch(std::move(source->base), problem, options,
+                                        source->delta, cancelled, partial);
               break;
             case DeltaImpact::Rebuild:
               built = FilterPlan::build(problem, options, cancelled, partial);

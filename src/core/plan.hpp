@@ -55,22 +55,6 @@ inline constexpr std::size_t kPatchEdgeShareDivisor = 4;
 [[nodiscard]] DeltaImpact classifyDelta(const Problem& problem,
                                         const ModelDelta& delta);
 
-/// Shard-scoped patch floor: a touched shard whose affected-edge count stays
-/// at or below this many edges is always patchable regardless of the shard's
-/// edge-share ratio — on a sharded host a delta confined to a couple of
-/// small shards should never force a full rebuild.
-inline constexpr std::size_t kPatchShardEdgeFloor = 256;
-
-/// classifyDelta against the shard partition a base plan was built with.
-/// Unsharded maps reduce exactly to the flat rule above. Sharded, the E/4
-/// cutoff applies per *touched* shard (cross-shard edges charge both sides):
-/// the patch is accepted when every touched shard is individually cheap —
-/// either under its own edge-share cutoff or under kPatchShardEdgeFloor —
-/// because patch work is shard-local under the sharded build.
-[[nodiscard]] DeltaImpact classifyDelta(const Problem& problem,
-                                        const ModelDelta& delta,
-                                        const ShardMap& shards);
-
 /// Immutable per-instance setup shared by every filtered search: stage-1
 /// filters, Lemma-1 static order, and for each query node the constrainers
 /// whose owner precedes it in that order. Built once, read concurrently
@@ -97,22 +81,17 @@ struct FilterPlan {
   /// as build() would — the result is candidate-set- and order-identical to
   /// a from-scratch build against `problem.host`. The caller must have
   /// classified the delta Patchable (or Unaffected, where reusing `base`
-  /// directly is cheaper still). Throws like build(); `base` is never
-  /// modified.
+  /// directly is cheaper still). Throws like build().
+  ///
+  /// Takes ownership of `base`. When the caller's reference is the last one
+  /// (use_count() == 1 — no in-flight search, no other cache entry), the
+  /// cells are spliced directly into the existing matrix, skipping the
+  /// structural copy; otherwise the matrix is copied first and the shared
+  /// base is never modified. The in-place mutation is invisible by
+  /// construction: a sole owner has no concurrent reader. On a throw from
+  /// the in-place path the consumed base is corrupted — callers must treat
+  /// the pointer they passed as gone either way.
   [[nodiscard]] static std::shared_ptr<const FilterPlan> patch(
-      const FilterPlan& base, const Problem& problem, const SearchOptions& options,
-      const ModelDelta& delta, const std::function<bool()>& cancelled = {},
-      SearchStats* partial = nullptr);
-
-  /// patch() that takes ownership of `base`. When the caller's reference is
-  /// the last one (use_count() == 1 — no in-flight search, no other cache
-  /// entry), the cells are spliced directly into the existing matrix,
-  /// skipping the structural copy entirely; otherwise this falls back to
-  /// patch()'s copy-then-splice. The in-place mutation is invisible by
-  /// construction: a sole owner has, by definition, no concurrent reader.
-  /// On a throw from the in-place path the (consumed) base is corrupted —
-  /// callers must treat the pointer they passed as gone either way.
-  [[nodiscard]] static std::shared_ptr<const FilterPlan> patchOwned(
       std::shared_ptr<const FilterPlan> base, const Problem& problem,
       const SearchOptions& options, const ModelDelta& delta,
       const std::function<bool()>& cancelled = {}, SearchStats* partial = nullptr);

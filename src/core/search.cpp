@@ -39,6 +39,7 @@ void SearchStats::merge(const SearchStats& other) noexcept {
   constraintEvals += other.constraintEvals;
   backtracks += other.backtracks;
   filterEntries += other.filterEntries;
+  filterSweepVisits += other.filterSweepVisits;
   filterBuildMs += other.filterBuildMs;
   searchMs += other.searchMs;
   if (firstMatchMs < 0) firstMatchMs = other.firstMatchMs;

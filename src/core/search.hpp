@@ -125,6 +125,7 @@ struct SearchStats {
   std::uint64_t constraintEvals = 0;    // expression evaluations
   std::uint64_t backtracks = 0;
   std::size_t filterEntries = 0;        // stage-1 candidate entries stored
+  std::uint64_t filterSweepVisits = 0;  // host adjacency entries stage 1 walked
   double filterBuildMs = 0.0;
   double searchMs = 0.0;                // total wall time incl. filter build
   double firstMatchMs = -1.0;           // -1 when no match was found

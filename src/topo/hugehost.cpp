@@ -100,8 +100,8 @@ Graph hugeHost(const HugeHostOptions& o) {
   }
 
   // Inter-pod trunks over the gateways (node 0 of each pod): a ring for
-  // guaranteed global connectivity plus random chords. These are the edges
-  // that cross shard boundaries under the contiguous partitioner.
+  // guaranteed global connectivity plus random chords. These are the only
+  // edges that leave a pod.
   seen.clear();
   const auto gateway = [&](std::size_t p) {
     return static_cast<NodeId>(p * o.podSize);

@@ -1,11 +1,11 @@
 #pragma once
-// Scalable pod-structured hosting networks for the sharded host model.
+// Scalable pod-structured hosting networks for large-host filter builds.
 //
 // The ROADMAP's million-node north star needs a host generator that (a)
 // reaches 10^5..10^6 nodes without a deep intermediate representation and
-// (b) has the locality structure sharding exploits: `hugeHost` builds a
-// composite of dense pods (data-center-style clusters laid out on the BRITE
-// coordinate plane) joined by inter-pod trunk links — the same two-level
+// (b) has the locality a pod-affinity node constraint exploits: `hugeHost`
+// builds a composite of dense pods (data-center-style clusters laid out on
+// the BRITE coordinate plane) joined by inter-pod trunk links — the same two-level
 // shape as topo::composite, scaled up and streamed straight into one Graph:
 // each pod's nodes and intra-pod edges are appended before the next pod
 // starts, so peak auxiliary state is one pod's dedup set, not the host.
@@ -40,8 +40,8 @@ struct HugeHostOptions {
 };
 
 /// Generate the pod-composite host. Undirected, connected; node ids are
-/// contiguous per pod (pod p owns [p * podSize, (p + 1) * podSize)), which
-/// is exactly the layout the contiguous ShardMap partitioner aligns with.
+/// contiguous per pod (pod p owns [p * podSize, (p + 1) * podSize)), so with
+/// podSize 64 every pod is one word of a host-node bit row.
 [[nodiscard]] graph::Graph hugeHost(const HugeHostOptions& options);
 
 }  // namespace netembed::topo

@@ -127,12 +127,8 @@ inline constexpr const char* kPoolWorkerDeath = "pool.worker_death";
 inline constexpr const char* kPoolSubmit = "pool.submit";
 /// FilterPlan::build: allocation-failure simulation for stage-1 builds.
 inline constexpr const char* kPlanBuild = "plan.build";
-/// FilterPlan::patch / patchOwned: same, for the incremental path.
+/// FilterPlan::patch: same, for the incremental path.
 inline constexpr const char* kPlanPatch = "plan.patch";
-/// Per-shard stage of a sharded FilterMatrix build: a fire fails one
-/// shard's build task (partition-local allocation/worker failure
-/// simulation; the whole build surfaces it like any stage-1 failure).
-inline constexpr const char* kShardBuild = "plan.shard_build";
 /// The filtered engines' build-cancellation predicate: a fire reports
 /// "cancelled" without any real stop (spurious cancellation).
 inline constexpr const char* kPlanCancel = "plan.spurious_cancel";

@@ -303,7 +303,7 @@ TEST(PlanPatch, StructurallyIdenticalToFreshBuildAcrossModesAndMutations) {
           ASSERT_NE(core::classifyDelta(mutated, c.delta), DeltaImpact::Unaffected)
               << c.name;
           const auto patched =
-              FilterPlan::patch(*basePlan, mutated, options, c.delta);
+              FilterPlan::patch(basePlan, mutated, options, c.delta);
           const auto fresh = FilterPlan::build(mutated, options);
           expectPlansIdentical(*patched, *fresh, query, c.mutated);
 
@@ -343,7 +343,7 @@ TEST(PlanPatch, RwbRootSplitAndPortfolioStreamsMatchFreshBuilds) {
     const ModelDelta delta = m.lastDelta();
     const Graph mutatedHost = m.host();
     const Problem mutated(query, mutatedHost, capConstraints());
-    const auto patched = FilterPlan::patch(*basePlan, mutated, options, delta);
+    const auto patched = FilterPlan::patch(basePlan, mutated, options, delta);
     const auto fresh = FilterPlan::build(mutated, options);
 
     {
@@ -401,7 +401,7 @@ TEST(PlanPatch, ChainedPatchesTrackARollingModel) {
     }
     snap = model.host();
     const Problem problem(query, snap, capConstraints());
-    plan = FilterPlan::patch(*plan, problem, options, model.lastDelta());
+    plan = FilterPlan::patch(plan, problem, options, model.lastDelta());
     const auto fresh = FilterPlan::build(problem, options);
     expectPlansIdentical(*plan, *fresh, query, snap);
   }
@@ -435,7 +435,7 @@ TEST(PlanPatch, OverflowSurfacesWhenEditsExceedTheEntryBudget) {
   const Graph mutatedHost = model.host();
   const Problem mutated(query, mutatedHost, capConstraints());
   EXPECT_THROW(
-      (void)FilterPlan::patch(*plan, mutated, options, model.lastDelta()),
+      (void)FilterPlan::patch(plan, mutated, options, model.lastDelta()),
       core::FilterOverflow);
 }
 
@@ -732,7 +732,7 @@ TEST(AsyncServiceDelta, MutationRekeysPlansAndPatchesInsteadOfRebuilding) {
   EXPECT_EQ(third.result.solutionCount, expected.result.solutionCount);
 }
 
-// --- patchOwned: in-place exclusivity ----------------------------------------
+// --- patch: in-place exclusivity ---------------------------------------------
 
 TEST(PlanPatch, PatchOwnedSplicesInPlaceOnlyWhenExclusive) {
   util::Rng rng(31);
@@ -759,7 +759,7 @@ TEST(PlanPatch, PatchOwnedSplicesInPlaceOnlyWhenExclusive) {
     const auto inPlaceBefore = core::filterPlanInPlacePatches();
     const auto patchesBefore = core::filterPlanPatches();
     const auto patched =
-        FilterPlan::patchOwned(std::move(plan), mutatedProblem, options, delta);
+        FilterPlan::patch(std::move(plan), mutatedProblem, options, delta);
     EXPECT_NE(patched.get(), held.get());
     EXPECT_EQ(core::filterPlanPatches(), patchesBefore + 1);
     EXPECT_EQ(core::filterPlanInPlacePatches(), inPlaceBefore);
@@ -773,7 +773,7 @@ TEST(PlanPatch, PatchOwnedSplicesInPlaceOnlyWhenExclusive) {
     const FilterPlan* raw = plan.get();
     const auto inPlaceBefore = core::filterPlanInPlacePatches();
     const auto patched =
-        FilterPlan::patchOwned(std::move(plan), mutatedProblem, options, delta);
+        FilterPlan::patch(std::move(plan), mutatedProblem, options, delta);
     EXPECT_EQ(patched.get(), raw);
     EXPECT_EQ(core::filterPlanInPlacePatches(), inPlaceBefore + 1);
     expectPlansIdentical(*patched, *fresh, query, mutated);
@@ -846,10 +846,10 @@ TEST(PlanPatch, ParallelPatchMatchesAFreshBuild) {
   const Graph mutated = model.host();
   const Problem mutatedProblem(query, mutated, capConstraints());
 
-  const auto patchedParallel = FilterPlan::patch(*planParallel, mutatedProblem,
+  const auto patchedParallel = FilterPlan::patch(planParallel, mutatedProblem,
                                                  parallelOptions, delta);
   const auto patchedSerial =
-      FilterPlan::patch(*planSerial, mutatedProblem, serialOptions, delta);
+      FilterPlan::patch(planSerial, mutatedProblem, serialOptions, delta);
   const auto fresh = FilterPlan::build(mutatedProblem, serialOptions);
   expectPlansIdentical(*patchedParallel, *fresh, query, mutated);
   expectPlansIdentical(*patchedSerial, *fresh, query, mutated);

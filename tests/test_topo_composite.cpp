@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/algorithms.hpp"
+#include "topo/hugehost.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -141,6 +142,43 @@ TEST(Composite, RandomWindowsRejectImpossibleWidth) {
   util::Rng rng(5);
   EXPECT_THROW(topo::assignRandomDelayWindows(g, 10.0, 20.0, 50.0, rng),
                std::invalid_argument);
+}
+
+TEST(HugeHost, DeterministicPerSeedAndPodAligned) {
+  topo::HugeHostOptions o;
+  o.pods = 4;
+  o.podSize = 64;
+  o.extraIntraFactor = 4.0;
+  o.trunkChords = 3;
+  o.seed = 7;
+  const Graph a = topo::hugeHost(o);
+  const Graph b = topo::hugeHost(o);
+  ASSERT_EQ(a.nodeCount(), 256u);
+  ASSERT_EQ(a.nodeCount(), b.nodeCount());
+  ASSERT_EQ(a.edgeCount(), b.edgeCount());
+  const graph::AttrId podId = graph::attrId("pod");
+  const graph::AttrId delayId = graph::attrId("delay");
+  for (graph::NodeId n = 0; n < a.nodeCount(); ++n) {
+    EXPECT_EQ(a.nodeAttrs(n).get(podId)->asInt(),
+              static_cast<std::int64_t>(n / o.podSize));
+  }
+  for (graph::EdgeId e = 0; e < a.edgeCount(); ++e) {
+    ASSERT_EQ(a.edgeSource(e), b.edgeSource(e));
+    ASSERT_EQ(a.edgeTarget(e), b.edgeTarget(e));
+    ASSERT_EQ(a.edgeAttrs(e).get(delayId)->asDouble(),
+              b.edgeAttrs(e).get(delayId)->asDouble());
+  }
+  o.seed = 8;
+  const Graph c = topo::hugeHost(o);
+  bool differs = c.edgeCount() != a.edgeCount();
+  for (graph::EdgeId e = 0; !differs && e < std::min(a.edgeCount(), c.edgeCount());
+       ++e) {
+    differs = a.edgeSource(e) != c.edgeSource(e) ||
+              a.edgeTarget(e) != c.edgeTarget(e) ||
+              a.edgeAttrs(e).get(delayId)->asDouble() !=
+                  c.edgeAttrs(e).get(delayId)->asDouble();
+  }
+  EXPECT_TRUE(differs) << "a different seed must change the topology";
 }
 
 }  // namespace
