@@ -74,7 +74,6 @@
 #include "service/async.hpp"
 #include "service/model.hpp"
 #include "topo/hugehost.hpp"
-#include "util/simd.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
 
@@ -686,8 +685,6 @@ void writeJson(std::ostream& os, const std::vector<InstanceReport>& reports,
   };
   os << "{\n  \"bench\": \"netembed_perf_report\",\n"
      << "  \"seed\": " << seed << ",\n  \"reps\": " << reps << ",\n"
-     << "  \"simd_isa\": \"" << util::simd::isaName(util::simd::activeIsa())
-     << "\",\n"
      << "  \"instances\": [\n";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const InstanceReport& r = reports[i];
@@ -855,9 +852,6 @@ int main(int argc, char** argv) {
   const auto satRequests =
       static_cast<std::size_t>(args.getInt("sat-requests", 1200));
   const SaturationReport saturation = runSaturationScenario(satRequests);
-
-  std::cout << "\nactive SIMD ISA: " << util::simd::isaName(util::simd::activeIsa())
-            << "\n";
 
   util::TablePrinter table(
       {"instance", "entries", "build csr", "build auto", "enum csr", "enum auto",

@@ -41,7 +41,6 @@
 #include "netembed/netembed.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
-#include "util/simd.hpp"
 
 using namespace netembed;
 
@@ -356,8 +355,7 @@ int main(int argc, char** argv) {
 
     graph::Graph host = loadHost(args.getString("host", ""), seed);
     std::cerr << "host: " << host.nodeCount() << " nodes, " << host.edgeCount()
-              << " edges | simd: "
-              << util::simd::isaName(util::simd::activeIsa()) << '\n';
+              << " edges\n";
 
     graph::Graph query;
     std::string edgeConstraint = args.getString("edge-constraint", "");

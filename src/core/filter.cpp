@@ -72,7 +72,7 @@ util::BitMatrix nodeViability(const Problem& p, const SearchOptions& options,
 /// Density heuristic: does a cell with `entries` stored candidates over an
 /// `nr`-node host earn bitset rows? A row AND costs one word per 64 host
 /// nodes no matter how sparse the cell, but the per-word constant (one
-/// vectorized AND) is tiny next to the per-candidate constant of the hybrid
+/// word AND) is tiny next to the per-candidate constant of the hybrid
 /// probe path it replaces (a gather + merge per surviving candidate):
 /// measured on the sparse overlay instances the ANDs win until cells carry
 /// fewer than ~one set bit per 16 words. Demand density >= 1/1024 — the

@@ -10,12 +10,10 @@
 // row is a plain word span that other bitsets can AND against.
 //
 // All word-level operations preserve the invariant that bits at positions
-// >= size() in the last word are zero, so count()/forEachSet() never see
-// ghost bits and row-vs-row operations on equal-sized operands are exact.
+// >= size() in the last word are zero, so forEachSet() never sees ghost
+// bits and row-vs-row operations on equal-sized operands are exact.
 //
-// The word loops dispatch through util::simd — AVX2/AVX-512 on x86, NEON on
-// AArch64, scalar otherwise — selected once at startup (overridable via
-// NETEMBED_SIMD); every ISA produces bit-identical results.
+// The word loops are util::simd's portable kernels, inlined here.
 
 #include <bit>
 #include <cassert>
@@ -32,13 +30,6 @@ inline constexpr std::size_t kBitsPerWord = 64;
 
 [[nodiscard]] inline constexpr std::size_t wordsForBits(std::size_t bits) noexcept {
   return (bits + kBitsPerWord - 1) / kBitsPerWord;
-}
-
-/// Mask selecting the valid bits of the final word of a `bits`-wide row
-/// (all-ones when the width is a multiple of 64 or zero).
-[[nodiscard]] inline constexpr std::uint64_t tailMask(std::size_t bits) noexcept {
-  const std::size_t rem = bits % kBitsPerWord;
-  return rem == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << rem) - 1;
 }
 
 /// Test bit `i` of a raw word row (e.g. a BitMatrix row span).
@@ -94,24 +85,6 @@ class Bitset {
   void clearAll() noexcept {
     for (auto& w : words_) w = 0;
   }
-  void setAll() noexcept {
-    if (words_.empty()) return;
-    for (auto& w : words_) w = ~std::uint64_t{0};
-    words_.back() &= tailMask(bits_);
-  }
-
-  [[nodiscard]] std::size_t count() const noexcept {
-    return simd::popcount(words_.data(), words_.size());
-  }
-  [[nodiscard]] bool any() const noexcept {
-    return simd::orReduce(words_.data(), words_.size()) != 0;
-  }
-
-  /// Overwrite with `row`, which must span exactly wordCount() words.
-  void copyFrom(std::span<const std::uint64_t> row) noexcept {
-    assert(row.size() == words_.size());
-    for (std::size_t w = 0; w < words_.size(); ++w) words_[w] = row[w];
-  }
 
   /// this &= row. Returns true when any bit survives (cheap emptiness check
   /// folded into the pass so callers can stop intersecting a dead set).
@@ -120,14 +93,8 @@ class Bitset {
     return simd::andInto(words_.data(), row.data(), words_.size()) != 0;
   }
 
-  /// this &= ~row.
-  void andNotWith(std::span<const std::uint64_t> row) noexcept {
-    assert(row.size() == words_.size());
-    simd::andNotInto(words_.data(), row.data(), words_.size());
-  }
-
-  /// this = a & ~b — the fused "viable minus used" seed (one pass where
-  /// copyFrom + andNotWith would take two).
+  /// this = a & ~b — the fused "viable minus used" seed (one pass where a
+  /// copy and an and-not would take two).
   void assignAndNot(std::span<const std::uint64_t> a, const Bitset& b) noexcept {
     assert(a.size() == words_.size() && b.wordCount() == words_.size());
     simd::copyAndNot(words_.data(), a.data(), b.words().data(), words_.size());
@@ -143,16 +110,6 @@ class Bitset {
     return simd::copyAndAndNot(words_.data(), a.data(), b.data(),
                                c.words().data(), words_.size()) != 0;
   }
-
-  /// this &= row, returning the resulting popcount — the dynamic-order
-  /// domain update (narrow and re-count in one pass).
-  std::size_t andWithCount(std::span<const std::uint64_t> row) noexcept {
-    assert(row.size() == words_.size());
-    return simd::andIntoPopcount(words_.data(), row.data(), words_.size());
-  }
-
-  bool andWith(const Bitset& other) noexcept { return andWith(other.words()); }
-  void andNotWith(const Bitset& other) noexcept { andNotWith(other.words()); }
 
   /// Invoke `fn(index)` for every set bit in ascending order.
   template <typename Fn>

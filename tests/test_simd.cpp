@@ -1,22 +1,19 @@
-// Runtime-dispatched SIMD kernels and everything built on them.
+// The word kernels and everything built on them.
 //
-// Three layers of evidence, strongest last:
-//   1. kernel matrix — every dispatched word kernel against an independently
-//      computed reference, for every ISA reachable on this host, across word
-//      counts that straddle each vector width and its scalar tail;
-//   2. Bitset/BitMatrix tails — the bit-level wrappers for sizes 0..130 and
-//      beyond the inline-dispatch threshold, against a std::vector<bool>
-//      model (ghost bits past size() must never appear);
-//   3. end-to-end differential — forcing each reachable ISA must leave every
-//      engine's *ordered* solution stream byte-identical, and the dynamic
-//      ordering must keep its domain-count invariant and enumerate exactly
-//      the static order's solution set.
+// Three layers of evidence:
+//   1. kernel matrix — every word kernel against an independently computed
+//      reference, across word counts that straddle each vector width the
+//      compiler may vectorize to and its scalar tail;
+//   2. Bitset tails — the bit-level wrappers for sizes 0..130 and multi-word
+//      rows, against a std::vector<bool> model (ghost bits past size() must
+//      never appear);
+//   3. dynamic ordering — it must keep its domain-count invariant and
+//      enumerate exactly the static order's solution set.
 
 #include "util/simd.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -33,26 +30,6 @@
 namespace {
 
 using namespace netembed;
-using util::simd::Isa;
-
-std::vector<Isa> reachableIsas() {
-  std::vector<Isa> out;
-  for (const Isa isa : {Isa::Scalar, Isa::Neon, Isa::Avx2, Isa::Avx512}) {
-    if (util::simd::isaSupported(isa)) out.push_back(isa);
-  }
-  return out;
-}
-
-/// RAII ISA override so a failing assertion cannot leak a forced ISA into
-/// later tests.
-class IsaGuard {
- public:
-  explicit IsaGuard(Isa isa) : previous_(util::simd::setActiveIsa(isa)) {}
-  ~IsaGuard() { util::simd::setActiveIsa(previous_); }
-
- private:
-  Isa previous_;
-};
 
 std::vector<std::uint64_t> randomWords(std::size_t n, util::Rng& rng) {
   std::vector<std::uint64_t> out(n);
@@ -64,6 +41,8 @@ std::vector<std::uint64_t> randomWords(std::size_t n, util::Rng& rng) {
 
 class SimdKernels : public testing::TestWithParam<std::size_t> {};
 
+// The portable kernels are the only ISA there is, so "every reachable ISA"
+// is one run.
 TEST_P(SimdKernels, EveryReachableIsaMatchesTheReference) {
   const std::size_t n = GetParam();
   util::Rng rng(7777 + n);
@@ -72,64 +51,55 @@ TEST_P(SimdKernels, EveryReachableIsaMatchesTheReference) {
   const std::vector<std::uint64_t> c = randomWords(n, rng);
 
   // Independent references (plain loops, no shared code with the kernels).
-  std::vector<std::uint64_t> refAnd(n), refAndNot(n), refCopyAndNot(n),
-      refCopyAndAndNot(n);
-  std::uint64_t refAliveAnd = 0, refAliveCaan = 0, refOr = 0;
+  std::vector<std::uint64_t> refAnd(n), refCopyAndNot(n), refCopyAndAndNot(n);
+  std::uint64_t refAliveAnd = 0, refAliveCaan = 0;
   std::size_t refPop = 0, refAndPop = 0;
   for (std::size_t i = 0; i < n; ++i) {
     refAnd[i] = a[i] & b[i];
     refAliveAnd |= refAnd[i];
-    refAndNot[i] = a[i] & ~b[i];
     refCopyAndNot[i] = a[i] & ~b[i];
     refCopyAndAndNot[i] = a[i] & b[i] & ~c[i];
     refAliveCaan |= refCopyAndAndNot[i];
-    refOr |= a[i];
     refPop += static_cast<std::size_t>(__builtin_popcountll(a[i]));
     refAndPop += static_cast<std::size_t>(__builtin_popcountll(refAnd[i]));
   }
 
-  for (const Isa isa : reachableIsas()) {
-    SCOPED_TRACE(util::simd::isaName(isa));
-    IsaGuard guard(isa);
-    ASSERT_EQ(util::simd::activeIsa(), isa);
+  std::vector<std::uint64_t> dst = a;
+  EXPECT_EQ(util::simd::andInto(dst.data(), b.data(), n) != 0, refAliveAnd != 0);
+  EXPECT_EQ(dst, refAnd);
 
-    std::vector<std::uint64_t> dst = a;
-    EXPECT_EQ(util::simd::andInto(dst.data(), b.data(), n) != 0, refAliveAnd != 0);
-    EXPECT_EQ(dst, refAnd);
+  std::vector<std::uint64_t> out(n, ~std::uint64_t{0});
+  util::simd::copyAndNot(out.data(), a.data(), b.data(), n);
+  EXPECT_EQ(out, refCopyAndNot);
 
-    dst = a;
-    util::simd::andNotInto(dst.data(), b.data(), n);
-    EXPECT_EQ(dst, refAndNot);
+  out.assign(n, ~std::uint64_t{0});
+  EXPECT_EQ(
+      util::simd::copyAndAndNot(out.data(), a.data(), b.data(), c.data(), n) != 0,
+      refAliveCaan != 0);
+  EXPECT_EQ(out, refCopyAndAndNot);
 
-    std::vector<std::uint64_t> out(n, ~std::uint64_t{0});
-    util::simd::copyAndNot(out.data(), a.data(), b.data(), n);
-    EXPECT_EQ(out, refCopyAndNot);
+  dst = a;
+  EXPECT_EQ(util::simd::andIntoPopcount(dst.data(), b.data(), n), refAndPop);
+  EXPECT_EQ(dst, refAnd);
 
-    out.assign(n, ~std::uint64_t{0});
-    EXPECT_EQ(
-        util::simd::copyAndAndNot(out.data(), a.data(), b.data(), c.data(), n) != 0,
-        refAliveCaan != 0);
-    EXPECT_EQ(out, refCopyAndAndNot);
-
-    dst = a;
-    EXPECT_EQ(util::simd::andIntoPopcount(dst.data(), b.data(), n), refAndPop);
-    EXPECT_EQ(dst, refAnd);
-
-    EXPECT_EQ(util::simd::popcount(a.data(), n), refPop);
-    EXPECT_EQ(util::simd::orReduce(a.data(), n), refOr);
-  }
+  EXPECT_EQ(util::simd::popcount(a.data(), n), refPop);
 }
 
-// 0..4 stay inside the inline scalar fast path; 5..9 exercise one partial
-// vector iteration per ISA; 16/17 straddle the AVX-512 8-word stride; the
-// larger counts cover multi-stride rows with every tail length.
+// 0..9 cover every tail of a 2- and 4-word vector stride; 16/17 straddle an
+// 8-word stride; the larger counts cover multi-stride rows with every tail
+// length.
 INSTANTIATE_TEST_SUITE_P(WordCounts, SimdKernels,
                          testing::Values(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12,
                                          13, 15, 16, 17, 23, 24, 31, 33, 64, 130));
 
-// --- 2. Bitset tails under every ISA -----------------------------------------
+// --- 2. Bitset tails ---------------------------------------------------------
 
 class SimdBitsetTails : public testing::TestWithParam<std::size_t> {};
+
+/// Popcount of a row, through the kernel the engines use.
+std::size_t rowCount(const util::Bitset& b) {
+  return util::simd::popcount(b.words().data(), b.wordCount());
+}
 
 TEST_P(SimdBitsetTails, BitsetOpsMatchABoolVectorModel) {
   const std::size_t bits = GetParam();
@@ -148,78 +118,51 @@ TEST_P(SimdBitsetTails, BitsetOpsMatchABoolVectorModel) {
     refAnyAnd = refAnyAnd || (modelA[i] && modelB[i]);
   }
 
-  for (const Isa isa : reachableIsas()) {
-    SCOPED_TRACE(util::simd::isaName(isa));
-    IsaGuard guard(isa);
-
-    util::Bitset d = a;
-    EXPECT_EQ(d.andWith(b), refAnyAnd);
-    EXPECT_EQ(d.count(), refAndCount);
-    for (std::size_t i = 0; i < bits; ++i) {
-      ASSERT_EQ(d.test(i), modelA[i] && modelB[i]) << "bit " << i;
-    }
-
-    d = a;
-    EXPECT_EQ(d.andWithCount(b.words()), refAndCount);
-
-    d = a;
-    d.andNotWith(b);
-    for (std::size_t i = 0; i < bits; ++i) {
-      ASSERT_EQ(d.test(i), modelA[i] && !modelB[i]) << "bit " << i;
-    }
-
-    d.assign(bits);
-    d.assignAndNot(a.words(), b);
-    std::size_t survivors = 0;
-    for (std::size_t i = 0; i < bits; ++i) {
-      ASSERT_EQ(d.test(i), modelA[i] && !modelB[i]) << "bit " << i;
-      survivors += d.test(i) ? 1u : 0u;
-    }
-    EXPECT_EQ(d.count(), survivors);
-
-    d.assign(bits);
-    const bool alive = d.assignAndAndNot(a.words(), b.words(), c);
-    bool refAlive = false;
-    for (std::size_t i = 0; i < bits; ++i) {
-      const bool expect = modelA[i] && modelB[i] && !modelC[i];
-      ASSERT_EQ(d.test(i), expect) << "bit " << i;
-      refAlive = refAlive || expect;
-    }
-    EXPECT_EQ(alive, refAlive);
+  util::Bitset d = a;
+  EXPECT_EQ(d.andWith(b.words()), refAnyAnd);
+  EXPECT_EQ(rowCount(d), refAndCount);
+  for (std::size_t i = 0; i < bits; ++i) {
+    ASSERT_EQ(d.test(i), modelA[i] && modelB[i]) << "bit " << i;
   }
+
+  std::vector<std::uint64_t> row(a.words().begin(), a.words().end());
+  EXPECT_EQ(util::simd::andIntoPopcount(row.data(), b.words().data(), row.size()),
+            refAndCount);
+
+  d.assign(bits);
+  d.assignAndNot(a.words(), b);
+  std::size_t survivors = 0;
+  for (std::size_t i = 0; i < bits; ++i) {
+    ASSERT_EQ(d.test(i), modelA[i] && !modelB[i]) << "bit " << i;
+    survivors += d.test(i) ? 1u : 0u;
+  }
+  EXPECT_EQ(rowCount(d), survivors);
+
+  d.assign(bits);
+  const bool alive = d.assignAndAndNot(a.words(), b.words(), c);
+  bool refAlive = false;
+  for (std::size_t i = 0; i < bits; ++i) {
+    const bool expect = modelA[i] && modelB[i] && !modelC[i];
+    ASSERT_EQ(d.test(i), expect) << "bit " << i;
+    refAlive = refAlive || expect;
+  }
+  EXPECT_EQ(alive, refAlive);
 }
 
-// 0..130 covers every tail of the first three words (the ISSUE's contract);
-// 320+ puts rows past the inline threshold so the vector units really run.
+// 0..130 covers every tail of the first three words; 319+ are multi-word
+// rows whose bodies the compiler's vector loops run.
 INSTANTIATE_TEST_SUITE_P(BitCounts, SimdBitsetTails,
                          testing::Values(0, 1, 2, 31, 32, 63, 64, 65, 66, 95,
                                          127, 128, 129, 130, 319, 320, 321, 512,
                                          515, 1024, 1030));
 
-// --- 3. end-to-end differentials ----------------------------------------------
+// --- 3. dynamic ordering ------------------------------------------------------
 
 struct Instance {
   graph::Graph host{false};
   graph::Graph query{false};
   expr::ConstraintSet constraints;
 };
-
-/// A host large enough that filter rows span >4 words (vector paths engage),
-/// with a sampled feasible query and delay windows.
-Instance bigInstance(std::uint64_t seed) {
-  topo::BriteOptions bo;
-  bo.nodes = 330;
-  bo.m = 2;
-  bo.seed = util::deriveSeed(seed, 1);
-  Instance inst;
-  inst.host = topo::brite(bo);
-  util::Rng rng(util::deriveSeed(seed, 2));
-  auto sub = topo::sampleConnectedSubgraph(inst.host, 7, 9, rng);
-  topo::widenDelayWindows(sub.graph, 1.0);
-  inst.query = std::move(sub.graph);
-  inst.constraints = expr::ConstraintSet::edgeOnly(topo::delayWindowConstraint());
-  return inst;
-}
 
 core::SearchOptions enumerateAll(core::Ordering ordering,
                                  core::BitsetMode mode = core::BitsetMode::Auto) {
@@ -229,57 +172,6 @@ core::SearchOptions enumerateAll(core::Ordering ordering,
   o.storeLimit = 1u << 20;
   return o;
 }
-
-TEST(SimdDifferential, EcfStreamsAreByteIdenticalUnderEveryIsa) {
-  const Instance inst = bigInstance(101);
-  const core::Problem problem(inst.query, inst.host, inst.constraints);
-  ASSERT_GT(core::FilterPlan::build(problem, enumerateAll(core::Ordering::Static))
-                ->filters.hostWords(),
-            util::simd::kInlineWordThreshold);
-
-  for (const core::Ordering ordering :
-       {core::Ordering::Static, core::Ordering::Dynamic}) {
-    std::vector<core::Mapping> reference;
-    std::uint64_t referenceCount = 0;
-    for (const Isa isa : reachableIsas()) {
-      SCOPED_TRACE(util::simd::isaName(isa));
-      IsaGuard guard(isa);
-      const core::EmbedResult r =
-          core::ecfSearch(problem, enumerateAll(ordering));
-      ASSERT_EQ(r.outcome, core::Outcome::Complete);
-      if (isa == Isa::Scalar) {
-        reference = r.mappings;
-        referenceCount = r.solutionCount;
-        EXPECT_GE(referenceCount, 1u);
-        continue;
-      }
-      // Ordered streams, not sets: dispatch must be invisible bit for bit.
-      EXPECT_EQ(r.solutionCount, referenceCount);
-      EXPECT_EQ(r.mappings, reference);
-    }
-  }
-}
-
-TEST(SimdDifferential, RwbFirstMatchAgreesUnderEveryIsa) {
-  const Instance inst = bigInstance(202);
-  const core::Problem problem(inst.query, inst.host, inst.constraints);
-  std::vector<core::Mapping> reference;
-  for (const Isa isa : reachableIsas()) {
-    SCOPED_TRACE(util::simd::isaName(isa));
-    IsaGuard guard(isa);
-    core::SearchOptions o = enumerateAll(core::Ordering::Static);
-    o.seed = 9;
-    const core::EmbedResult r = core::rwbSearch(problem, o);
-    ASSERT_TRUE(r.feasible());
-    if (reference.empty()) {
-      reference = r.mappings;
-      continue;
-    }
-    EXPECT_EQ(r.mappings, reference);
-  }
-}
-
-// --- dynamic ordering ---------------------------------------------------------
 
 Instance smallInstance(std::uint64_t seed) {
   topo::BriteOptions bo;
